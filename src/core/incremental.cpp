@@ -26,6 +26,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
          static_cast<std::uint64_t>(counts.io);
 }
 
+/// std::stable_sort's order without its temporary buffer (a heap
+/// allocation per call): the VM→slot lists hold one entry per VM of a
+/// request, so quadratic insertion is the cheaper sort here.
+template <typename T, typename Less>
+void stable_insertion_sort(std::vector<T>& items, Less less) {
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    T item = items[i];
+    std::size_t j = i;
+    for (; j > 0 && less(item, items[j - 1]); --j) {
+      items[j] = items[j - 1];
+    }
+    items[j] = item;
+  }
+}
+
 /// One placed block of a candidate under evaluation. Mirrors the batch
 /// search's PlacedBlock (proactive.cpp) except the server is identified by
 /// id — the serve fleet's ids are exactly the batch up-vector's positions
@@ -586,17 +601,20 @@ struct FleetState::Planner {
     placed.resize(keep);
     bound_after.resize(keep);
 
+    PlanTallies& tally = fleet->tallies_;
     double remaining_min = 0.0;
     if (prune) {
       for (std::size_t i = keep; i < blocks.size(); ++i) {
         const double block_min = ready(*cp.shapes[i]).min_contrib;
         if (block_min == kInf) {
+          ++tally.pruned_infeasible;
           return std::nullopt;  // infeasible on every server, even unused
         }
         remaining_min += block_min;
       }
       const double prefix_bound = keep > 0 ? bound_after[keep - 1] : 0.0;
       if (prefix_bound + remaining_min > prune_above) {
+        ++tally.pruned_bound;
         return std::nullopt;
       }
     }
@@ -606,6 +624,7 @@ struct FleetState::Planner {
       }
       std::optional<PlacedBlock> next = place_grouped(*cp.shapes[i], blocks[i]);
       if (!next.has_value()) {
+        ++tally.pruned_infeasible;
         return std::nullopt;  // no unused server can host this block
       }
       ++used_count[next->group_ordinal];
@@ -614,9 +633,11 @@ struct FleetState::Planner {
                            placed.back().contribution;
       bound_after.push_back(bound);
       if (prune && bound + remaining_min > prune_above) {
+        ++tally.pruned_bound;
         return std::nullopt;  // cannot beat the best complete candidate
       }
     }
+    ++tally.evaluated;
     return finalize();
   }
 };
@@ -711,16 +732,31 @@ const CostModel& FleetState::model_of(int hardware) const {
   return models_[static_cast<std::size_t>(hardware)];
 }
 
+std::size_t FleetState::index_of(int server_id) const noexcept {
+  if (dense_ids_) {
+    return server_id >= 0 &&
+                   static_cast<std::size_t>(server_id) < nodes_.size()
+               ? static_cast<std::size_t>(server_id)
+               : nodes_.size();
+  }
+  const auto it = std::lower_bound(
+      nodes_.begin(), nodes_.end(), server_id,
+      [](const AllocationNode& node, int id) { return node.id < id; });
+  return it != nodes_.end() && it->id == server_id
+             ? static_cast<std::size_t>(it - nodes_.begin())
+             : nodes_.size();
+}
+
 AllocationNode& FleetState::node_mut(int server_id) {
-  const auto it = by_id_.find(server_id);
-  AEVA_REQUIRE(it != by_id_.end(), "unknown server id ", server_id);
-  return nodes_[it->second];
+  const std::size_t index = index_of(server_id);
+  AEVA_REQUIRE(index < nodes_.size(), "unknown server id ", server_id);
+  return nodes_[index];
 }
 
 const AllocationNode& FleetState::node(int server_id) const {
-  const auto it = by_id_.find(server_id);
-  AEVA_REQUIRE(it != by_id_.end(), "unknown server id ", server_id);
-  return nodes_[it->second];
+  const std::size_t index = index_of(server_id);
+  AEVA_REQUIRE(index < nodes_.size(), "unknown server id ", server_id);
+  return nodes_[index];
 }
 
 void FleetState::index_insert(const AllocationNode& node) {
@@ -776,7 +812,6 @@ void FleetState::reset(std::span<const ServerState> servers,
                "down mask size ", down == nullptr ? 0 : down->size(),
                " does not match fleet size ", servers.size());
   nodes_.clear();
-  by_id_.clear();
   for (auto& [key, slot] : groups_) {
     (void)key;
     slot.members.clear();  // memberships rebuild below; memos survive
@@ -795,15 +830,119 @@ void FleetState::reset(std::span<const ServerState> servers,
     node.allocated = server.allocated;
     node.powered = server.powered;
     node.down = down != nullptr && (*down)[i] != 0;
-    const auto [it, inserted] = by_id_.emplace(node.id, nodes_.size());
-    (void)it;
-    AEVA_REQUIRE(inserted, "duplicate server id ", node.id);
+    nodes_.push_back(node);
+  }
+  const auto by_id = [](const AllocationNode& a, const AllocationNode& b) {
+    return a.id < b.id;
+  };
+  if (!std::is_sorted(nodes_.begin(), nodes_.end(), by_id)) {
+    std::sort(nodes_.begin(), nodes_.end(), by_id);
+  }
+  dense_ids_ = true;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    AEVA_REQUIRE(i == 0 || nodes_[i - 1].id != nodes_[i].id,
+                 "duplicate server id ", nodes_[i].id);
+    dense_ids_ = dense_ids_ && nodes_[i].id == static_cast<int>(i);
+  }
+  for (const AllocationNode& node : nodes_) {
     if (!node.down) {
       ++up_count_;
       index_insert(node);
     }
-    nodes_.push_back(node);
   }
+}
+
+SyncOutcome FleetState::sync(std::span<const ServerState> servers) {
+  // Merge walk: nodes_ and (when ordered) `servers` both ascend by id.
+  const auto ordered = [&servers] {
+    for (std::size_t j = 1; j < servers.size(); ++j) {
+      if (servers[j].id <= servers[j - 1].id) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Nonzero unless the node is live and mirrors `want` field for field —
+  // branch-free, so the unchanged stretches that make up almost all of a
+  // span compare at memory speed.
+  const auto differs = [](const AllocationNode& node, const ServerState& want) {
+    return (node.id ^ want.id) | (node.hardware ^ want.hardware) |
+           (node.allocated.cpu ^ want.allocated.cpu) |
+           (node.allocated.mem ^ want.allocated.mem) |
+           (node.allocated.io ^ want.allocated.io) |
+           (static_cast<int>(node.powered) ^ static_cast<int>(want.powered)) |
+           static_cast<int>(node.down);
+  };
+  constexpr std::size_t kStride = 32;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t exact_until = 0;  ///< nodes before this resolve one by one
+  bool expressible = true;
+  while (i < nodes_.size()) {
+    if (i >= exact_until && i + kStride <= nodes_.size() &&
+        j + kStride <= servers.size()) {
+      int diff = 0;
+      for (std::size_t k = 0; k < kStride; ++k) {
+        diff |= differs(nodes_[i + k], servers[j + k]);
+      }
+      if (diff == 0) {
+        i += kStride;
+        j += kStride;
+        continue;
+      }
+      exact_until = i + kStride;
+    }
+    // Something in this stretch changed: resolve its nodes exactly.
+    AllocationNode& node = nodes_[i++];
+    if (j < servers.size() && servers[j].id < node.id) {
+      // An id this fleet has never seen — or the span descends here.
+      expressible = false;
+      break;
+    }
+    if (j == servers.size() || servers[j].id != node.id) {
+      if (!node.down) {
+        crash(node.id);  // vanished from the span
+      }
+      continue;
+    }
+    const ServerState& want = servers[j++];
+    if (differs(node, want) == 0) {
+      continue;
+    }
+    if (node.hardware != want.hardware) {
+      expressible = false;
+      break;
+    }
+    if (node.down) {
+      repair(node.id);  // back cold and empty; the deltas refill it
+    }
+    for (const ProfileClass profile : workload::kAllProfileClasses) {
+      const int delta = want.allocated.of(profile) - node.allocated.of(profile);
+      if (delta > 0) {
+        allocate(node.id, profile, delta);
+      } else if (delta < 0) {
+        deallocate(node.id, profile, -delta);
+      }
+    }
+    if (node.powered != want.powered) {
+      if (!want.powered) {
+        expressible = false;  // powered off in place: no delta does that
+        break;
+      }
+      // Powered on with no net change in the mix: a VM arrived and left
+      // between two syncs (or the server returned warm). Replay one.
+      allocate(node.id, ProfileClass::kCpu);
+      deallocate(node.id, ProfileClass::kCpu);
+    }
+  }
+  if (expressible && j == servers.size()) {
+    return SyncOutcome::kDeltas;
+  }
+  if (!ordered()) {
+    return SyncOutcome::kUnordered;
+  }
+  reset(servers);
+  return SyncOutcome::kReset;
 }
 
 void FleetState::allocate(int server_id, ProfileClass profile, int count) {
@@ -869,9 +1008,7 @@ const std::vector<ServerState>& FleetState::up_servers() const {
   }
   up_scratch_.clear();
   up_scratch_.reserve(up_count_);
-  for (const auto& [id, index] : by_id_) {  // id order == batch up order
-    (void)id;
-    const AllocationNode& node = nodes_[index];
+  for (const AllocationNode& node : nodes_) {  // id order == batch up order
     if (node.down) {
       continue;
     }
@@ -886,13 +1023,7 @@ const std::vector<ServerState>& FleetState::up_servers() const {
 }
 
 FleetStats FleetState::stats() const {
-  stats_.groups = 0;
-  stats_.memo_entries = 0;
-  for (const auto& [key, slot] : groups_) {
-    (void)key;
-    stats_.groups += slot.members.empty() ? 0 : 1;
-    stats_.memo_entries += slot.memo.size();
-  }
+  stats_.groups = live_order_.size();
   return stats_;
 }
 
@@ -933,15 +1064,29 @@ const FleetState::MemoEntry& FleetState::memo_entry(
     entry.marginal_energy_j = rec.energy_j - slot.base_energy_j;
     entry.feasible = true;
   }
+  ++stats_.memo_entries;
   return slot.memo.insert(pos, {shape_key, entry})->second;
 }
 
 AllocationResult FleetState::plan(std::span<const VmRequest> vms) {
-  ++stats_.plans;
   AllocationResult result;
+  plan_into(vms, result);
+  return result;
+}
+
+void FleetState::plan_into(std::span<const VmRequest> vms,
+                           AllocationResult& result) {
+  ++stats_.plans;
+  tallies_ = PlanTallies{};
+  result.placements.clear();
+  result.score = AllocationScore{};
+  result.complete = false;
+  result.satisfied_qos = true;
+  result.partitions_examined = 0;
+  result.outcome = AllocationOutcome{};
   if (vms.empty()) {
     result.complete = true;
-    return result;
+    return;
   }
 
   ClassCounts request;
@@ -1031,18 +1176,19 @@ AllocationResult FleetState::plan(std::span<const VmRequest> vms) {
       reason = RejectReason::kQosInfeasible;
     }
     if (fallback_.has_value()) {
-      AllocationResult fb = fallback_->allocate(vms, up_servers());
-      if (fb.complete) {
-        fb.partitions_examined = examined;
-        fb.satisfied_qos = false;  // the slot-based fallback is QoS-blind
-        fb.outcome = AllocationOutcome{AllocationPath::kFallbackFirstFit,
-                                       reason, search_truncated};
-        return fb;
+      fallback_->allocate_into(vms, up_servers(), result);
+      if (result.complete) {
+        result.partitions_examined = examined;
+        result.satisfied_qos = false;  // the slot-based fallback is QoS-blind
+        result.outcome = AllocationOutcome{AllocationPath::kFallbackFirstFit,
+                                           reason, search_truncated};
+        return;
       }
+      result.partitions_examined = examined;  // the leg reset it
     }
     result.outcome = AllocationOutcome{AllocationPath::kRejected, reason,
                                        search_truncated};
-    return result;
+    return;
   }
   result.satisfied_qos = chosen->qos_ok;
   result.score.est_time_s = chosen->est_time_s;
@@ -1051,7 +1197,8 @@ AllocationResult FleetState::plan(std::span<const VmRequest> vms) {
 
   // VM → slot mapping, exactly as the batch allocator: per class, the VM
   // with the tightest deadline goes to the block slot with the smallest
-  // estimated time.
+  // estimated time. The two stable sorts are insertion sorts — the same
+  // order as std::stable_sort, without its temporary buffer.
   result.placements.reserve(vms.size());
   for (const ProfileClass profile : workload::kAllProfileClasses) {
     const int ci = static_cast<int>(profile);
@@ -1065,10 +1212,10 @@ AllocationResult FleetState::plan(std::span<const VmRequest> vms) {
     if (class_vms.empty()) {
       continue;
     }
-    std::stable_sort(class_vms.begin(), class_vms.end(),
-                     [](const VmRequest* a, const VmRequest* b) {
-                       return a->max_exec_time_s < b->max_exec_time_s;
-                     });
+    stable_insertion_sort(class_vms,
+                          [](const VmRequest* a, const VmRequest* b) {
+                            return a->max_exec_time_s < b->max_exec_time_s;
+                          });
     std::vector<Planner::MapSlot>& slots = planner.map_slots;
     slots.clear();
     for (const PlacedBlock& block : chosen->blocks) {
@@ -1080,10 +1227,10 @@ AllocationResult FleetState::plan(std::span<const VmRequest> vms) {
     AEVA_INVARIANT(slots.size() == class_vms.size(),
                    "block slots do not cover the request for class ",
                    workload::to_string(profile));
-    std::stable_sort(slots.begin(), slots.end(),
-                     [](const Planner::MapSlot& a, const Planner::MapSlot& b) {
-                       return a.time < b.time;
-                     });
+    stable_insertion_sort(
+        slots, [](const Planner::MapSlot& a, const Planner::MapSlot& b) {
+          return a.time < b.time;
+        });
     for (std::size_t k = 0; k < class_vms.size(); ++k) {
       result.placements.push_back(
           Placement{class_vms[k]->id, slots[k].server_id});
@@ -1092,7 +1239,6 @@ AllocationResult FleetState::plan(std::span<const VmRequest> vms) {
   result.complete = true;
   result.outcome.path = AllocationPath::kIncremental;
   result.outcome.search_truncated = search_truncated;
-  return result;
 }
 
 }  // namespace aeva::core

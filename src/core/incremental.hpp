@@ -1,13 +1,14 @@
 #pragma once
 
 /// \file incremental.hpp
-/// Incremental per-server allocator state for serve mode (ROADMAP item 1).
+/// Incremental per-server allocator state: the persistent fleet model
+/// behind both `ProactiveAllocator::allocate` and serve mode's
+/// `--incremental` planner.
 ///
-/// `ProactiveAllocator::allocate` is a pure batch search: every call
-/// rebuilds its evaluation context from the full server list — one model
-/// estimate per server for the base energies, a fresh equivalence-group
-/// index, a fresh per-shape score memo. That per-call O(fleet) setup is
-/// what caps the serve loop's steady-state decision rate, not the
+/// A batch proactive search rebuilds its evaluation context from the full
+/// server list on every call — one model estimate per server for the base
+/// energies, a fresh equivalence-group index, a fresh per-shape score
+/// memo. That per-call O(fleet) setup dominates a decision, not the
 /// partition search itself (requests carry 1–4 VMs, so the candidate
 /// space is tiny).
 ///
@@ -27,17 +28,22 @@
 /// canonical partition enumeration, same greedy per-block server choice
 /// with the same tie-breaks, same reject taxonomy and first-fit fallback
 /// leg, the same doubles everywhere — while touching only the group index
-/// (|groups| ≪ fleet) instead of the fleet. Steady-state decisions are
-/// therefore independent of fleet size, and the exhaustive allocator
-/// demotes to a periodic *oracle*: the serve layer re-runs it every N
-/// sim-seconds / decisions to cross-check the incremental plan and
-/// resynchronize on drift (serve::IncrementalConfig,
-/// docs/ARCHITECTURE.md "Rebalancer as oracle").
+/// (|groups| ≪ fleet) instead of the fleet.
 ///
-/// Not thread-safe: one FleetState belongs to one (single-threaded) serve
-/// loop, mirroring its committed state. bench/serve_latency gates the
-/// p50/p99 decision-latency win and the placement/energy/makespan parity
-/// against the batch search.
+/// Two callers keep a FleetState current:
+/// - **Deltas.** Serve mode's `--incremental` planner applies every
+///   commit, release, crash and repair as it happens
+///   (serve::IncrementalConfig, docs/SERVING.md).
+/// - **Sync.** `ProactiveAllocator` caches one FleetState and brings it to
+///   each call's server span with `sync()`: one linear walk in id order
+///   that turns the differences into the same deltas, falling back to one
+///   `reset()` only for changes the delta API cannot express.
+///
+/// Not thread-safe: one FleetState belongs to one caller at a time (the
+/// serve loop, or the allocator under its fleet mutex).
+/// tests/core/incremental_parity_test.cpp and
+/// tests/core/proactive_adapter_test.cpp prove the parity against the
+/// plain reference scorer (`ProactiveConfig::force_serial`).
 
 #include <cstddef>
 #include <cstdint>
@@ -87,6 +93,13 @@ struct FleetStats {
   std::size_t memo_entries = 0;     ///< persistent score-memo size
 };
 
+/// What FleetState::sync() did to bring the mirror to a server span.
+enum class SyncOutcome {
+  kDeltas,     ///< allocate/deallocate/crash/repair deltas only
+  kReset,      ///< one full reset() (a change deltas cannot express)
+  kUnordered,  ///< ids not strictly ascending: nothing planned against it
+};
+
 /// The incremental fleet: per-server `AllocationNode`s, the persistent
 /// equivalence-group index, and the persistent score memo. See the file
 /// comment for the design; docs/API.md for the contract table.
@@ -112,6 +125,22 @@ class FleetState {
   /// score memo survives (it is a pure function of the model database).
   void reset(std::span<const ServerState> servers,
              const std::vector<std::uint8_t>* down = nullptr);
+
+  /// Brings the fleet to exactly `servers` (ids strictly ascending) in one
+  /// linear walk in id order, so that plan() afterwards answers as the
+  /// batch search over `servers` would:
+  /// - a changed mix becomes allocate()/deallocate() deltas;
+  /// - an id missing from the span becomes crash();
+  /// - a known id that returns becomes repair() plus deltas;
+  /// - a server that powered on with no net change in its mix (a VM came
+  ///   and went between two syncs, or it returned warm) replays one
+  ///   allocate()/deallocate() pair;
+  /// - anything else — an unknown id, a changed hardware class, a server
+  ///   powered off in place — becomes one reset().
+  /// Returns kUnordered, with nothing reset, when the ids are not strictly
+  /// ascending; the fleet is then a valid but unspecified state until the
+  /// next successful sync() or reset().
+  SyncOutcome sync(std::span<const ServerState> servers);
 
   /// Delta update: one VM of `profile` committed to / released from the
   /// server. O(log n) group-index maintenance; throws on unknown ids,
@@ -144,6 +173,11 @@ class FleetState {
   /// their batch labels). Non-const: the score memo fills lazily.
   [[nodiscard]] AllocationResult plan(std::span<const VmRequest> vms);
 
+  /// plan() writing into `out`, whose `placements` capacity is retained:
+  /// a warm primary-path decision performs no heap allocation (the
+  /// simulator's zero-alloc gate, tests/datacenter/zero_alloc_test.cpp).
+  void plan_into(std::span<const VmRequest> vms, AllocationResult& out);
+
   /// The live (non-down) servers, in id order — the exact view the batch
   /// allocator would receive. O(fleet) to fill but allocation-free once
   /// the internal scratch has grown to fleet size: the reference aims at
@@ -157,8 +191,12 @@ class FleetState {
   [[nodiscard]] const ProactiveConfig& config() const noexcept {
     return config_;
   }
-  /// Counters (groups/memo_entries refreshed on read).
+  /// Counters (groups refreshed on read).
   [[nodiscard]] FleetStats stats() const;
+  /// Candidate tallies of the latest plan() / plan_into().
+  [[nodiscard]] const PlanTallies& last_plan_tallies() const noexcept {
+    return tallies_;
+  }
 
  private:
   /// Group key: (hardware class, resident mix) — two live servers with
@@ -210,6 +248,8 @@ class FleetState {
   struct Planner;  // per-plan() search state, in incremental.cpp
 
   [[nodiscard]] const CostModel& model_of(int hardware) const;
+  /// nodes_ index of `server_id`, or nodes_.size() when unknown.
+  [[nodiscard]] std::size_t index_of(int server_id) const noexcept;
   [[nodiscard]] AllocationNode& node_mut(int server_id);
   void index_insert(const AllocationNode& node);
   void index_erase(const AllocationNode& node);
@@ -229,8 +269,11 @@ class FleetState {
   /// Degradation leg, mirroring the batch allocator's fallback chain.
   std::optional<FirstFitAllocator> fallback_;
 
+  /// Sorted by id, so the vector is its own id index: a lookup is a
+  /// direct subscript when the ids are exactly 0..n−1 (`dense_ids_`, the
+  /// simulator's and serve's numbering) and a binary search otherwise.
   std::vector<AllocationNode> nodes_;
-  std::map<int, std::size_t> by_id_;  ///< server id → nodes_ index
+  bool dense_ids_ = true;
   std::size_t up_count_ = 0;
   /// The persistent group index: ordered members, ascending id — the
   /// "first unused member" a candidate's greedy scan must pick is always
@@ -272,6 +315,7 @@ class FleetState {
   /// growth events are counted in FleetStats::up_scratch_grows).
   mutable std::vector<ServerState> up_scratch_;
   mutable FleetStats stats_;
+  PlanTallies tallies_;
 };
 
 }  // namespace aeva::core

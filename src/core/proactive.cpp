@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/incremental.hpp"
 #include "partition/typed_partition.hpp"
 #include "util/error.hpp"
 #include "util/mutex.hpp"
@@ -21,10 +22,37 @@ namespace aeva::core {
 using workload::ClassCounts;
 using workload::ProfileClass;
 
-/// Lazily-created worker pool shared by const allocate() calls. Lives
-/// behind a shared_ptr so allocator copies share one pool and the
-/// allocator type stays movable.
+/// Lazily-created search state shared by const allocate() calls: the
+/// incremental path's FleetState and the batch path's worker pool. Lives
+/// behind a shared_ptr so allocator copies share both and the allocator
+/// type stays movable.
 struct ProactiveAllocator::SearchRuntime {
+  /// Guards the cached fleet. Callers only try-lock it: a call that finds
+  /// it busy takes the batch search rather than waiting.
+  util::Mutex fleet_mutex;
+  std::unique_ptr<FleetState> fleet AEVA_GUARDED_BY(fleet_mutex);
+
+  /// Runs `fn(fleet)` under the fleet lock and returns its verdict, or
+  /// false at once when another call holds the lock. An exception drops
+  /// the cached fleet (a throw can leave it half-rebuilt); the next call
+  /// builds a fresh one.
+  template <typename Fn>
+  bool try_with_fleet(Fn&& fn) AEVA_EXCLUDES(fleet_mutex) {
+    if (!fleet_mutex.try_lock()) {
+      return false;
+    }
+    bool done = false;
+    try {
+      done = fn(fleet);
+    } catch (...) {
+      fleet.reset();
+      fleet_mutex.unlock();
+      throw;
+    }
+    fleet_mutex.unlock();
+    return done;
+  }
+
   util::Mutex mutex;
   /// Guarded creation; the returned pool reference is safe to use outside
   /// the lock because the pool is never destroyed or replaced once built
@@ -55,6 +83,9 @@ ProactiveAllocator::ProactiveAllocator(
                "search_threads must be >= 0 (0 = hardware), got ",
                config_.search_threads);
   AEVA_REQUIRE(config_.search_chunk >= 1, "search chunk must be >= 1");
+  incremental_ = !config_.force_serial && !config_.spread.enabled &&
+                 util::ThreadPool::recommended_workers(static_cast<std::size_t>(
+                     config_.search_threads)) <= 1;
   AEVA_REQUIRE(!dbs.empty(), "need at least one model database");
   models_.reserve(dbs.size());
   for (const modeldb::ModelDatabase* db : dbs) {
@@ -107,6 +138,7 @@ ProactiveAllocator::ProactiveAllocator(
     obs_.memo_misses = &m.gauge("pa.memo.misses");
     obs_.memo_hit_rate = &m.gauge("pa.memo.hit_rate");
     obs_.memo_entries = &m.gauge("pa.memo.entries");
+    obs_.fleet_resyncs = &m.counter("pa.fleet.resyncs");
   }
 }
 
@@ -190,21 +222,18 @@ struct EvalScratch {
   std::vector<int> domain_used;     ///< request VMs per failure domain
 };
 
-/// Per-evaluator candidate-outcome tallies, flushed into the observability
-/// registry after the search (stack counters on the hot path; the flush is
-/// guarded, so a disabled session costs nothing beyond the increments).
-/// Tallying never feeds back into the search — results are unchanged.
-struct SearchTallies {
-  std::uint64_t evaluated = 0;         ///< reached finalize()
-  std::uint64_t pruned_bound = 0;      ///< abandoned by branch-and-bound
-  std::uint64_t pruned_infeasible = 0; ///< some block had no host
+/// Per-evaluator candidate-outcome tallies — the struct FleetState reports
+/// too — flushed into the observability registry after the search (stack
+/// counters on the hot path; the flush is guarded, so a disabled session
+/// costs nothing beyond the increments). Tallying never feeds back into
+/// the search — results are unchanged.
+using SearchTallies = PlanTallies;
 
-  void merge(const SearchTallies& other) noexcept {
-    evaluated += other.evaluated;
-    pruned_bound += other.pruned_bound;
-    pruned_infeasible += other.pruned_infeasible;
-  }
-};
+void merge(SearchTallies& into, const SearchTallies& other) noexcept {
+  into.evaluated += other.evaluated;
+  into.pruned_bound += other.pruned_bound;
+  into.pruned_infeasible += other.pruned_infeasible;
+}
 
 /// Lock-free running minimum (monotonically decreasing, so a stale read is
 /// always an over-estimate — pruning against it stays sound).
@@ -887,6 +916,94 @@ AllocationResult ProactiveAllocator::allocate(
     std::span<const VmRequest> vms,
     std::span<const ServerState> servers) const {
   AllocationResult result;
+  allocate_into(vms, servers, result);
+  return result;
+}
+
+void ProactiveAllocator::allocate_into(std::span<const VmRequest> vms,
+                                       std::span<const ServerState> servers,
+                                       AllocationResult& out) const {
+  if (incremental_ && !vms.empty() && plan_incremental(vms, servers, out)) {
+    return;
+  }
+  out = search(vms, servers);
+}
+
+bool ProactiveAllocator::plan_incremental(
+    std::span<const VmRequest> vms, std::span<const ServerState> servers,
+    AllocationResult& out) const {
+  return runtime_->try_with_fleet([&](std::unique_ptr<FleetState>& fleet) {
+    if (fleet == nullptr) {
+      std::vector<const modeldb::ModelDatabase*> dbs;
+      dbs.reserve(models_.size());
+      for (const CostModel& model : models_) {
+        dbs.push_back(&model.db());
+      }
+      fleet = std::make_unique<FleetState>(std::move(dbs), config_);
+    }
+    const SyncOutcome synced = fleet->sync(servers);
+    if (synced == SyncOutcome::kUnordered) {
+      return false;
+    }
+    fleet->plan_into(vms, out);
+    if (out.outcome.path == AllocationPath::kIncremental) {
+      out.outcome.path = AllocationPath::kPrimary;  // same search, same bits
+    }
+    if (obs_.calls != nullptr) {
+      if (synced == SyncOutcome::kReset) {
+        obs_.fleet_resyncs->add();
+      }
+      const FleetStats stats = fleet->stats();
+      modeldb::EstimateCache::Stats memo;
+      memo.hits = stats.memo_hits;
+      memo.misses = stats.memo_misses;
+      memo.entries = stats.memo_entries;
+      flush_obs(out, fleet->last_plan_tallies(), 1, memo);
+    }
+    return true;
+  });
+}
+
+void ProactiveAllocator::flush_obs(const AllocationResult& result,
+                                   const PlanTallies& tally,
+                                   std::size_t workers,
+                                   const modeldb::EstimateCache::Stats& memo)
+    const {
+  const std::size_t examined = result.partitions_examined;
+  obs_.calls->add();
+  obs_.candidates->add(examined);
+  obs_.evaluated->add(tally.evaluated);
+  obs_.pruned_bound->add(tally.pruned_bound);
+  obs_.pruned_infeasible->add(tally.pruned_infeasible);
+  obs_.candidates_per_call->record(static_cast<double>(examined));
+  obs_.workers->set(static_cast<double>(workers));
+  if (result.outcome.search_truncated) {
+    obs_.budget_truncated->add();
+  }
+  switch (result.outcome.path) {
+    case AllocationPath::kPrimary:
+    case AllocationPath::kIncremental:
+      obs_.placed_primary->add();
+      break;
+    case AllocationPath::kFallbackFirstFit:
+      obs_.placed_fallback->add();
+      break;
+    case AllocationPath::kRejected:
+      obs_.rejected->add();
+      break;
+  }
+  obs_.memo_hits->set(static_cast<double>(memo.hits));
+  obs_.memo_misses->set(static_cast<double>(memo.misses));
+  obs_.memo_entries->set(static_cast<double>(memo.entries));
+  const double lookups = static_cast<double>(memo.hits + memo.misses);
+  obs_.memo_hit_rate->set(
+      lookups > 0.0 ? static_cast<double>(memo.hits) / lookups : 0.0);
+}
+
+AllocationResult ProactiveAllocator::search(
+    std::span<const VmRequest> vms,
+    std::span<const ServerState> servers) const {
+  AllocationResult result;
   if (vms.empty()) {
     result.complete = true;
     return result;
@@ -1029,7 +1146,7 @@ AllocationResult ProactiveAllocator::allocate(
                    "partition enumeration visited ", visited,
                    " but the scorer saw ", examined);
     if (inc.has_value()) {
-      tally.merge(inc->tallies());
+      merge(tally, inc->tallies());
     }
   } else {
     // Parallel fan-out: materialize the candidate stream (bounded by the
@@ -1063,7 +1180,7 @@ AllocationResult ProactiveAllocator::allocate(
           best.consider(*out, inc.blocks(), i);
         }
       }
-      tally.merge(inc.tallies());
+      merge(tally, inc.tallies());
     } else {
       util::ThreadPool& pool = runtime_->ensure_pool(workers);
       std::atomic<double> best_any_rank{kInf};
@@ -1104,7 +1221,7 @@ AllocationResult ProactiveAllocator::allocate(
         best.merge(std::move(local));
       }
       for (const SearchTallies& chunk_tally : chunk_tallies) {
-        tally.merge(chunk_tally);
+        merge(tally, chunk_tally);
         if (obs_.chunk_evaluated != nullptr) {
           obs_.chunk_evaluated->record(
               static_cast<double>(chunk_tally.evaluated));
@@ -1122,32 +1239,12 @@ AllocationResult ProactiveAllocator::allocate(
   const bool search_truncated = examined >= config_.max_partitions;
 
   // Metrics flush (no-op when observability is off). Called once on every
-  // exit path below with the counter matching the outcome; reads the
-  // search state but never influences the decision.
-  const auto obs_flush = [&](obs::Counter* outcome_counter) {
-    if (obs_.calls == nullptr) {
-      return;
+  // exit path below with the result it returns; reads the search state but
+  // never influences the decision.
+  const auto obs_flush = [&](const AllocationResult& out) {
+    if (obs_.calls != nullptr) {
+      flush_obs(out, tally, workers, memo_stats());
     }
-    obs_.calls->add();
-    obs_.candidates->add(examined);
-    obs_.evaluated->add(tally.evaluated);
-    obs_.pruned_bound->add(tally.pruned_bound);
-    obs_.pruned_infeasible->add(tally.pruned_infeasible);
-    obs_.candidates_per_call->record(static_cast<double>(examined));
-    obs_.workers->set(static_cast<double>(workers));
-    if (search_truncated) {
-      obs_.budget_truncated->add();
-    }
-    if (outcome_counter != nullptr) {
-      outcome_counter->add();
-    }
-    const modeldb::EstimateCache::Stats memo = memo_stats();
-    obs_.memo_hits->set(static_cast<double>(memo.hits));
-    obs_.memo_misses->set(static_cast<double>(memo.misses));
-    obs_.memo_entries->set(static_cast<double>(memo.entries));
-    const double lookups = static_cast<double>(memo.hits + memo.misses);
-    obs_.memo_hit_rate->set(
-        lookups > 0.0 ? static_cast<double>(memo.hits) / lookups : 0.0);
   };
 
   std::optional<Candidate>& best_any = best.any;
@@ -1179,7 +1276,7 @@ AllocationResult ProactiveAllocator::allocate(
         fb.satisfied_qos = false;  // the slot-based fallback is QoS-blind
         fb.outcome = AllocationOutcome{AllocationPath::kFallbackFirstFit,
                                        reason, search_truncated};
-        obs_flush(obs_.placed_fallback);
+        obs_flush(fb);
         return fb;
       }
     }
@@ -1187,7 +1284,7 @@ AllocationResult ProactiveAllocator::allocate(
     // record.
     result.outcome = AllocationOutcome{AllocationPath::kRejected, reason,
                                        search_truncated};
-    obs_flush(obs_.rejected);
+    obs_flush(result);
     return result;
   }
   result.satisfied_qos = chosen->qos_ok;
@@ -1237,7 +1334,7 @@ AllocationResult ProactiveAllocator::allocate(
   }
   result.complete = true;
   result.outcome.search_truncated = search_truncated;
-  obs_flush(obs_.placed_primary);
+  obs_flush(result);
   return result;
 }
 

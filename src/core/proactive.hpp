@@ -14,14 +14,28 @@
 /// the QoS constraints. Ties between servers of equal rank resolve to the
 /// first server of the list, as in the paper.
 ///
-/// The candidate scoring fans out over a fixed worker pool with memoized
-/// database lookups and branch-and-bound pruning; the reduction is
-/// deterministic (min by score, ties to the earliest candidate in
-/// canonical enumeration order), so every execution mode returns the same
-/// bits as the serial reference — see the search-execution knobs on
-/// ProactiveConfig and docs/PERFORMANCE.md.
+/// Two searches answer a call, with the same bits:
+/// - **Incremental (the default path).** The allocator caches one
+///   core::FleetState (incremental.hpp) — per-server nodes, equivalence
+///   groups and a score memo that live across calls — and syncs it to
+///   each call's server span with deltas before planning on it. A call
+///   therefore costs one linear compare walk over the span plus a
+///   fleet-size-independent plan, instead of rebuilding O(fleet) context.
+///   It runs when the serial optimized search would: `force_serial` off,
+///   one search worker, spread off, and server ids strictly ascending
+///   (FleetState breaks ties by id, the batch search by span position).
+/// - **Batch.** Every other call (spread configs, reordered spans such as
+///   the thermal guard's, `search_threads > 1`, or a contended fleet
+///   lock) rebuilds its context per call. Its candidate scoring can fan
+///   out over a worker pool with memoized database lookups and
+///   branch-and-bound pruning; the reduction is deterministic (min by
+///   score, ties to the earliest candidate in canonical enumeration
+///   order), so every execution mode returns the same bits as the serial
+///   reference — see the search-execution knobs on ProactiveConfig and
+///   docs/PERFORMANCE.md.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -116,6 +130,15 @@ struct ProactiveConfig {
   std::shared_ptr<obs::Session> obs;
 };
 
+/// Candidate outcomes of one search — the `pa.search.*` tallies — kept by
+/// the batch search and by FleetState::plan() alike, so either path
+/// flushes the same counters (docs/OBSERVABILITY.md).
+struct PlanTallies {
+  std::uint64_t evaluated = 0;          ///< candidates scored to the end
+  std::uint64_t pruned_bound = 0;       ///< abandoned by branch-and-bound
+  std::uint64_t pruned_infeasible = 0;  ///< some block had no host
+};
+
 /// The proactive allocator (strategies PA-1 / PA-0 / PA-0.5 of Sect. IV-D
 /// are instances with α = 1, 0, 0.5).
 class ProactiveAllocator final : public Allocator {
@@ -132,12 +155,20 @@ class ProactiveAllocator final : public Allocator {
                      ProactiveConfig config);
 
   /// Thread-safe and re-entrant: concurrent calls (e.g. through decorator
-  /// guards) are safe — the memo cache is internally synchronized and the
-  /// worker pool serializes its fan-out phases, so every caller still gets
-  /// the bit-exact serial-reference answer.
+  /// guards) are safe. The cached FleetState sits behind a mutex that a
+  /// call only try-locks — a call that finds it busy runs the batch search
+  /// instead of waiting — the memo cache is internally synchronized, and
+  /// the worker pool serializes its fan-out phases, so every caller still
+  /// gets the bit-exact serial-reference answer.
   [[nodiscard]] AllocationResult allocate(
       std::span<const VmRequest> vms,
       std::span<const ServerState> servers) const override;
+
+  /// As allocate(); on the incremental path a warm call writes into `out`
+  /// without any heap allocation (the simulator's zero-alloc gate).
+  void allocate_into(std::span<const VmRequest> vms,
+                     std::span<const ServerState> servers,
+                     AllocationResult& out) const override;
 
   [[nodiscard]] std::string name() const override;
 
@@ -151,8 +182,10 @@ class ProactiveAllocator final : public Allocator {
   /// Cost model of a hardware class; throws on an unknown class.
   [[nodiscard]] const CostModel& cost_model(int hardware) const;
 
-  /// Aggregated memo-cache statistics over all hardware classes (zeros
-  /// when `memoize_estimates` is off or `force_serial` is on).
+  /// Aggregated memo-cache statistics of the batch search over all
+  /// hardware classes (zeros when `memoize_estimates` is off or
+  /// `force_serial` is on; the incremental path keeps its own score memo,
+  /// reported as `pa.memo.*` — docs/OBSERVABILITY.md).
   [[nodiscard]] modeldb::EstimateCache::Stats memo_stats() const;
 
   /// Re-warms the per-hardware-class estimate memo caches against a fleet
@@ -167,8 +200,9 @@ class ProactiveAllocator final : public Allocator {
 
  private:
   /// Mutable search machinery shared by const allocate() calls (and by
-  /// copies of the allocator): the worker pool is created lazily under the
-  /// mutex on the first parallel search and reused afterwards.
+  /// copies of the allocator): the cached FleetState of the incremental
+  /// path and the worker pool of the parallel batch search, each created
+  /// lazily under its mutex on first use and reused afterwards.
   struct SearchRuntime;
 
   /// Pre-resolved metric handles (all null when `config_.obs` is null, so
@@ -191,9 +225,29 @@ class ProactiveAllocator final : public Allocator {
     obs::Gauge* memo_misses = nullptr;
     obs::Gauge* memo_hit_rate = nullptr;
     obs::Gauge* memo_entries = nullptr;
+    obs::Counter* fleet_resyncs = nullptr;
   };
 
+  /// The incremental path: syncs the cached FleetState to `servers` and
+  /// plans on it. False when the call must run the batch search instead
+  /// (fleet lock busy, or ids not strictly ascending).
+  bool plan_incremental(std::span<const VmRequest> vms,
+                        std::span<const ServerState> servers,
+                        AllocationResult& out) const;
+  /// The batch search: rebuilds the evaluation context from `servers`.
+  [[nodiscard]] AllocationResult search(
+      std::span<const VmRequest> vms,
+      std::span<const ServerState> servers) const;
+  /// Flushes one call's `pa.*` metrics. Callers guard on `obs_.calls`
+  /// (observability on) and skip gathering the arguments otherwise.
+  void flush_obs(const AllocationResult& result, const PlanTallies& tally,
+                 std::size_t workers,
+                 const modeldb::EstimateCache::Stats& memo) const;
+
   ProactiveConfig config_;
+  /// Calls may take the incremental path: force_serial off, one search
+  /// worker, spread off (fixed at construction).
+  bool incremental_ = false;
   std::vector<CostModel> models_;
   /// Per-hardware-class memo caches (engaged with `memoize_estimates`;
   /// attached to the corresponding CostModel).

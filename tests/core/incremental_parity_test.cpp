@@ -1,10 +1,11 @@
-/// Incremental-vs-exhaustive parity (ISSUE 8 satellite): over 30 random
-/// seeds, FleetState::plan must reproduce ProactiveAllocator::allocate
-/// bit-for-bit — identical placements, scores, outcomes, and search effort
-/// — both on drift-free snapshots and under sustained churn (commits,
-/// releases, crashes, repairs) where the batch allocator is re-pointed at
-/// the fleet's own up-server view each round. The churn suite additionally
-/// asserts the ISSUE's operational bound: accumulated planned energy
+/// Incremental-vs-exhaustive parity: over 30 random seeds,
+/// FleetState::plan must reproduce the plain reference scorer
+/// (ProactiveAllocator with `force_serial`, which never touches a
+/// FleetState) bit-for-bit — identical placements, scores, outcomes, and
+/// search effort — both on drift-free snapshots and under sustained churn
+/// (commits, releases, crashes, repairs) where the reference is re-pointed
+/// at the fleet's own up-server view each round. The churn suite
+/// additionally asserts the operational bound: accumulated planned energy
 /// within 1% of the exhaustive baseline (exact parity makes it 0).
 
 #include <gtest/gtest.h>
@@ -25,6 +26,14 @@ using workload::ClassCounts;
 using workload::ProfileClass;
 
 const modeldb::ModelDatabase& db() { return testing::shared_db(); }
+
+/// The independent side of every comparison: the default allocator plans
+/// through a cached FleetState itself, so parity is proven against the
+/// per-call reference scorer instead.
+ProactiveConfig reference(ProactiveConfig config) {
+  config.force_serial = true;
+  return config;
+}
 
 std::vector<VmRequest> random_request(util::Rng& rng, int max_vms = 5) {
   const int vm_count = static_cast<int>(rng.uniform_int(1, max_vms));
@@ -106,7 +115,7 @@ TEST_P(IncrementalParity, DriftFreeSnapshotsPlaceIdentically) {
 
     FleetState fleet(db(), config);
     fleet.reset(servers);
-    const ProactiveAllocator batch(db(), config);
+    const ProactiveAllocator batch(db(), reference(config));
     expect_identical(fleet.plan(vms), batch.allocate(vms, servers));
   }
 }
@@ -123,7 +132,7 @@ TEST_P(IncrementalParity, ChurnKeepsParityAndEnergyWithinBound) {
     init.push_back(ServerState{s, ClassCounts{}, false});
   }
   fleet.reset(init);
-  const ProactiveAllocator batch(db(), config);
+  const ProactiveAllocator batch(db(), reference(config));
 
   // Independent mirror of what should be committed, keyed by server id —
   // validates the delta bookkeeping, not just plan().

@@ -12,8 +12,11 @@
 /// one binary serially).
 ///
 /// Configuration deliberately mirrors the bench's steady-state leg:
-/// FirstFit, observability OFF (trace spans allocate strings when a
-/// session is attached), failures/migration/snapshots OFF.
+/// observability OFF (trace spans allocate strings when a session is
+/// attached), failures/migration/snapshots OFF. Two allocators run it:
+/// FirstFit, and PA-1, whose default path plans on a cached FleetState
+/// synced to the simulator's fleet view and writes into the caller's
+/// reused AllocationResult.
 
 #include "datacenter/simulator.hpp"
 
@@ -25,6 +28,7 @@
 #include <new>
 
 #include "core/first_fit.hpp"
+#include "core/proactive.hpp"
 #include "testing/shared_db.hpp"
 #include "trace/prepare.hpp"
 #include "util/rng.hpp"
@@ -126,11 +130,13 @@ PreparedWorkload steady_workload(std::uint64_t seed, int target_jobs) {
   return workload;
 }
 
-TEST(ZeroAllocEventLoop, WarmWindowPerformsNoHeapAllocations) {
-  const PreparedWorkload workload = steady_workload(4242, 400);
+/// Runs `workload` twice through `allocator` and asserts that the second
+/// run's warm window (the middle 55%..90% of intervals) performs zero
+/// heap allocations.
+void expect_warm_window_allocation_free(const PreparedWorkload& workload,
+                                        const core::Allocator& allocator) {
   CloudConfig cloud;
   cloud.server_count = 40;
-  const core::FirstFitAllocator allocator(2);
   const Simulator sim(testing::shared_db(), cloud);
 
   // Pass 1: count the run's intervals so the armed window can sit in the
@@ -166,6 +172,18 @@ TEST(ZeroAllocEventLoop, WarmWindowPerformsNoHeapAllocations) {
   // Both passes are the same simulation: the observer is passive.
   EXPECT_EQ(first.energy_j, second.energy_j);
   EXPECT_EQ(first.vms, second.vms);
+}
+
+TEST(ZeroAllocEventLoop, WarmWindowPerformsNoHeapAllocations) {
+  const core::FirstFitAllocator allocator(2);
+  expect_warm_window_allocation_free(steady_workload(4242, 400), allocator);
+}
+
+TEST(ZeroAllocEventLoop, ProactiveWarmWindowPerformsNoHeapAllocations) {
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+  const core::ProactiveAllocator allocator(testing::shared_db(), config);
+  expect_warm_window_allocation_free(steady_workload(4242, 400), allocator);
 }
 
 }  // namespace

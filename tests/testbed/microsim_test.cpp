@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "workload/registry.hpp"
 
@@ -217,9 +220,11 @@ TEST(MicroSim, UtilizationTracesCoverTheRun) {
 
 /// Property sweep: for any same-type pack of the canonical apps, the
 /// average execution time follows the paper's metric and per-VM runtimes
-/// are identical (symmetric VMs progress in lockstep).
+/// are identical (symmetric VMs progress in lockstep). The app name is a
+/// std::string so the printed parameter (and hence the discovered CTest
+/// name) is the name itself rather than a per-process pointer address.
 class MicroSimPackSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(MicroSimPackSweep, SymmetricVmsFinishTogether) {
   const auto [name, count] = GetParam();
@@ -237,8 +242,10 @@ TEST_P(MicroSimPackSweep, SymmetricVmsFinishTogether) {
 
 INSTANTIATE_TEST_SUITE_P(
     Packs, MicroSimPackSweep,
-    ::testing::Combine(::testing::Values("linpack", "sysbench", "beffio",
-                                         "fftw"),
+    ::testing::Combine(::testing::Values(std::string("linpack"),
+                                         std::string("sysbench"),
+                                         std::string("beffio"),
+                                         std::string("fftw")),
                        ::testing::Values(1, 2, 4, 8, 12)));
 
 }  // namespace
