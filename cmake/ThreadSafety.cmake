@@ -1,15 +1,14 @@
 # Clang thread-safety analysis as a hard gate (docs/STATIC_ANALYSIS.md,
 # "Thread-safety annotations").
 #
-# The shared-state structures (util::ThreadPool, modeldb::EstimateCache
-# shards, obs::MetricsRegistry / Histogram stripes / TraceLog, the
-# proactive allocator's SearchRuntime) carry clang capability annotations
-# via src/util/thread_annotations.hpp. With this gate on, any access to an
-# AEVA_GUARDED_BY field outside its lock — on *any* path, not just the
-# ones a test happens to exercise — fails the build. This is the static
-# side of the race-detection pair; the TSan ctest job is the dynamic side,
-# and CI runs both (-DAEVA_SANITIZE=thread plus this gate in the same
-# build).
+# The shared-state structures (util::ThreadPool, obs::MetricsRegistry /
+# Histogram stripes / TraceLog, the proactive allocator's SearchRuntime)
+# carry clang capability annotations via src/util/thread_annotations.hpp.
+# With this gate on, any access to an AEVA_GUARDED_BY field outside its
+# lock — on *any* path, not just the ones a test happens to exercise —
+# fails the build. This is the static side of the race-detection pair;
+# the TSan ctest job is the dynamic side, and CI runs both
+# (-DAEVA_SANITIZE=thread plus this gate in the same build).
 #
 # Select with -DAEVA_THREAD_SAFETY=<mode>:
 #

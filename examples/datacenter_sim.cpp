@@ -239,15 +239,6 @@ int main(int argc, char** argv) {
     std::cout << "restoring checkpoint " << restore_from << "...\n";
     const persist::SimSnapshot snapshot =
         persist::read_snapshot_file(restore_from);
-    // Re-warm the allocator's estimate caches from the restored fleet so
-    // the resumed process does not pay cold-cache latency on its first
-    // admissions (the simulation itself is unaffected either way).
-    if (const auto* pa =
-            dynamic_cast<const core::ProactiveAllocator*>(strategy.get())) {
-      const std::size_t warmed = pa->rewarm(
-          datacenter::restored_server_states(snapshot, cloud));
-      std::cout << "  re-warmed " << warmed << " estimate-cache entries\n";
-    }
     std::cout << "resuming strategy " << strategy->name() << " on "
               << servers << " servers from t=" << snapshot.now << " s...\n";
     metrics = sim.resume(workload, *strategy, snapshot);

@@ -14,13 +14,6 @@ CostModel::CostModel(const modeldb::ModelDatabase& db, int server_vm_cap,
   AEVA_REQUIRE(idle_power_w >= 0.0, "negative idle power");
 }
 
-void CostModel::set_estimate_cache(
-    std::shared_ptr<const modeldb::EstimateCache> memo) {
-  AEVA_REQUIRE(memo == nullptr || &memo->db() == db_,
-               "memo cache wraps a different database");
-  memo_ = std::move(memo);
-}
-
 bool CostModel::feasible(ClassCounts mix) const noexcept {
   if (mix.cpu < 0 || mix.mem < 0 || mix.io < 0) {
     return false;
@@ -67,12 +60,6 @@ double CostModel::dynamic_energy_j(ClassCounts mix) const {
 
 double CostModel::solo_time_s(ProfileClass profile) const {
   return db_->base().of(profile).solo_time_s;
-}
-
-double CostModel::solo_energy_j(ProfileClass profile) const {
-  ClassCounts solo;
-  solo.of(profile) = 1;
-  return estimate(solo).energy_j;
 }
 
 double CostModel::solo_dynamic_energy_j(ProfileClass profile) const {

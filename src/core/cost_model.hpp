@@ -5,12 +5,10 @@
 /// per-server mix, estimated per-VM execution times, marginal energy, and
 /// the normalization references used by the α-weighted rank.
 
-#include <memory>
 #include <vector>
 
 #include "core/types.hpp"
 #include "modeldb/database.hpp"
-#include "modeldb/estimate_cache.hpp"
 #include "workload/profile.hpp"
 
 namespace aeva::core {
@@ -33,16 +31,10 @@ class CostModel {
   [[nodiscard]] bool feasible(workload::ClassCounts mix) const noexcept;
 
   /// Estimated outcome of running `mix` on one server (paper lookup
-  /// semantics — exact or proportional). Routed through the memo cache
-  /// when one is attached; results are bit-identical either way.
+  /// semantics — exact or proportional).
   [[nodiscard]] modeldb::Record estimate(workload::ClassCounts mix) const {
-    return memo_ != nullptr ? memo_->estimate(mix) : db_->estimate(mix);
+    return db_->estimate(mix);
   }
-
-  /// Attaches a shared memo cache (must wrap the same database; thread-
-  /// safe, so one cache may serve many models and search workers). Pass
-  /// nullptr to detach.
-  void set_estimate_cache(std::shared_ptr<const modeldb::EstimateCache> memo);
 
   /// Estimated execution time of one VM of `profile` inside `mix`.
   [[nodiscard]] double vm_time_s(workload::ProfileClass profile,
@@ -63,7 +55,9 @@ class CostModel {
   [[nodiscard]] double solo_time_s(workload::ProfileClass profile) const;
 
   /// Solo energy of one VM of the class (pure single-VM database entry).
-  [[nodiscard]] double solo_energy_j(workload::ProfileClass profile) const;
+  [[nodiscard]] double solo_energy_j(workload::ProfileClass profile) const {
+    return db_->solo_energy_j(profile);
+  }
 
   /// Solo *dynamic* energy of one VM of the class.
   [[nodiscard]] double solo_dynamic_energy_j(
@@ -86,7 +80,6 @@ class CostModel {
   const modeldb::ModelDatabase* db_;
   int cap_;
   double idle_power_w_;
-  std::shared_ptr<const modeldb::EstimateCache> memo_;
 };
 
 }  // namespace aeva::core

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "modeldb/estimate_cache.hpp"
 #include "partition/typed_partition.hpp"
 #include "util/error.hpp"
 
@@ -652,6 +651,9 @@ FleetState::FleetState(std::vector<const modeldb::ModelDatabase*> dbs,
   AEVA_REQUIRE(config_.alpha >= 0.0 && config_.alpha <= 1.0,
                "alpha must be in [0, 1], got ", config_.alpha);
   AEVA_REQUIRE(config_.max_partitions >= 1, "partition budget must be >= 1");
+  AEVA_REQUIRE(config_.search_threads == 1,
+               "search_threads must be 1: the parallel search was removed, "
+               "got ", config_.search_threads);
   // The incremental planner's persistent group index is keyed by
   // (hardware, mix) only; a spread-constrained plan would need the domain
   // in the key. Route spread-enabled configs through the batch allocator
@@ -664,18 +666,10 @@ FleetState::FleetState(std::vector<const modeldb::ModelDatabase*> dbs,
   for (const modeldb::ModelDatabase* db : dbs) {
     AEVA_REQUIRE(db != nullptr, "null model database");
     models_.emplace_back(*db, config.server_vm_cap);
-    // The score memo is keyed by (group mix, shape), but many such pairs
-    // share one combined count vector — the estimate cache collapses
-    // those repeated database lookups exactly as it does for the batch
-    // search (results are bit-identical either way).
-    models_.back().set_estimate_cache(
-        std::make_shared<modeldb::EstimateCache>(*db));
   }
-  // Serve-mode startup warmup: the per-server mixes a fleet can ever
-  // reach form the small feasibility box, so one sweep here turns every
-  // later database lookup — including the cold first minutes of a fresh
-  // serve loop — into a cache hit instead of a raw interpolation. Purely
-  // a latency warmup: cached records are bit-identical by construction.
+  // The per-server mixes a fleet can ever reach form the small
+  // feasibility box; one sweep over it finds the longest estimated VM
+  // time any placement can produce.
   for (const CostModel& model : models_) {
     const int cap = model.server_vm_cap();
     for (int cpu = 0; cpu <= cap; ++cpu) {
@@ -705,10 +699,9 @@ FleetState::FleetState(std::vector<const modeldb::ModelDatabase*> dbs,
     fallback_.emplace(config_.fallback_multiplex,
                       std::vector<int>(models_.size(), 4));
   }
-  // Same arming condition as the batch allocator's optimized paths
-  // (pruning never changes results; it only skips work).
-  if (config_.prune_search && !config_.force_serial &&
-      config_.goal == ProactiveGoal::kAlphaWeighted) {
+  // Same arming condition as the batch search (pruning never changes
+  // results; it only skips work).
+  if (config_.goal == ProactiveGoal::kAlphaWeighted) {
     bool energy_bounded = true;
     for (const CostModel& model : models_) {
       energy_bounded = energy_bounded && model.db().energy_monotone();

@@ -6,11 +6,11 @@
 /// `--incremental` planner.
 ///
 /// A batch proactive search rebuilds its evaluation context from the full
-/// server list on every call — one model estimate per server for the base
-/// energies, a fresh equivalence-group index, a fresh per-shape score
-/// memo. That per-call O(fleet) setup dominates a decision, not the
-/// partition search itself (requests carry 1–4 VMs, so the candidate
-/// space is tiny).
+/// server list on every call — a fresh equivalence-group index with one
+/// model estimate per distinct mix for the base energies, a fresh
+/// per-shape score memo. That per-call O(fleet) setup dominates a
+/// decision, not the partition search itself (requests carry 1–4 VMs, so
+/// the candidate space is tiny).
 ///
 /// `FleetState` keeps that context alive between decisions, in the style
 /// of redpanda's `partition_allocator` (SNIPPETS.md #2): one
@@ -43,7 +43,7 @@
 /// serve loop, or the allocator under its fleet mutex).
 /// tests/core/incremental_parity_test.cpp and
 /// tests/core/proactive_adapter_test.cpp prove the parity against the
-/// plain reference scorer (`ProactiveConfig::force_serial`).
+/// plain per-server reference scorer (tests/testing/reference_pa.hpp).
 
 #include <cstddef>
 #include <cstdint>

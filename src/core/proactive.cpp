@@ -1,7 +1,6 @@
 #include "core/proactive.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -15,7 +14,6 @@
 #include "util/error.hpp"
 #include "util/mutex.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace aeva::core {
 
@@ -23,9 +21,8 @@ using workload::ClassCounts;
 using workload::ProfileClass;
 
 /// Lazily-created search state shared by const allocate() calls: the
-/// incremental path's FleetState and the batch path's worker pool. Lives
-/// behind a shared_ptr so allocator copies share both and the allocator
-/// type stays movable.
+/// incremental path's FleetState. Lives behind a shared_ptr so allocator
+/// copies share it and the allocator type stays movable.
 struct ProactiveAllocator::SearchRuntime {
   /// Guards the cached fleet. Callers only try-lock it: a call that finds
   /// it busy takes the batch search rather than waiting.
@@ -52,20 +49,6 @@ struct ProactiveAllocator::SearchRuntime {
     fleet_mutex.unlock();
     return done;
   }
-
-  util::Mutex mutex;
-  /// Guarded creation; the returned pool reference is safe to use outside
-  /// the lock because the pool is never destroyed or replaced once built
-  /// (it lives until the SearchRuntime itself dies).
-  std::unique_ptr<util::ThreadPool> pool AEVA_GUARDED_BY(mutex);
-
-  util::ThreadPool& ensure_pool(std::size_t workers) AEVA_EXCLUDES(mutex) {
-    const util::MutexGuard lock(mutex);
-    if (pool == nullptr) {
-      pool = std::make_unique<util::ThreadPool>(workers);
-    }
-    return *pool;
-  }
 };
 
 ProactiveAllocator::ProactiveAllocator(const modeldb::ModelDatabase& db,
@@ -79,23 +62,15 @@ ProactiveAllocator::ProactiveAllocator(
   AEVA_REQUIRE(config_.alpha >= 0.0 && config_.alpha <= 1.0,
                "alpha must be in [0, 1], got ", config_.alpha);
   AEVA_REQUIRE(config_.max_partitions >= 1, "partition budget must be >= 1");
-  AEVA_REQUIRE(config_.search_threads >= 0,
-               "search_threads must be >= 0 (0 = hardware), got ",
-               config_.search_threads);
-  AEVA_REQUIRE(config_.search_chunk >= 1, "search chunk must be >= 1");
-  incremental_ = !config_.force_serial && !config_.spread.enabled &&
-                 util::ThreadPool::recommended_workers(static_cast<std::size_t>(
-                     config_.search_threads)) <= 1;
+  AEVA_REQUIRE(config_.search_threads == 1,
+               "search_threads must be 1: the parallel search was removed, "
+               "got ", config_.search_threads);
+  incremental_ = !config_.spread.enabled;
   AEVA_REQUIRE(!dbs.empty(), "need at least one model database");
   models_.reserve(dbs.size());
   for (const modeldb::ModelDatabase* db : dbs) {
     AEVA_REQUIRE(db != nullptr, "null model database");
     models_.emplace_back(*db, config.server_vm_cap);
-    if (config_.memoize_estimates && !config_.force_serial) {
-      auto memo = std::make_shared<modeldb::EstimateCache>(*db);
-      models_.back().set_estimate_cache(memo);
-      memos_.push_back(std::move(memo));
-    }
   }
   if (config_.spread.enabled) {
     AEVA_REQUIRE(config_.spread.max_vms_per_domain >= 1,
@@ -131,9 +106,6 @@ ProactiveAllocator::ProactiveAllocator(
     obs_.candidates_per_call = &m.histogram(
         "pa.search.candidates_per_call",
         {1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0});
-    obs_.chunk_evaluated = &m.histogram(
-        "pa.search.chunk_evaluated", {1.0, 4.0, 16.0, 64.0, 256.0, 1024.0});
-    obs_.workers = &m.gauge("pa.search.workers");
     obs_.memo_hits = &m.gauge("pa.memo.hits");
     obs_.memo_misses = &m.gauge("pa.memo.misses");
     obs_.memo_hit_rate = &m.gauge("pa.memo.hit_rate");
@@ -148,38 +120,6 @@ const CostModel& ProactiveAllocator::cost_model(int hardware) const {
                "unknown hardware class ", hardware, " (have ",
                models_.size(), ")");
   return models_[static_cast<std::size_t>(hardware)];
-}
-
-modeldb::EstimateCache::Stats ProactiveAllocator::memo_stats() const {
-  modeldb::EstimateCache::Stats total;
-  for (const auto& memo : memos_) {
-    const modeldb::EstimateCache::Stats s = memo->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-    total.entries += s.entries;
-  }
-  return total;
-}
-
-std::size_t ProactiveAllocator::rewarm(
-    std::span<const ServerState> servers) const {
-  if (memos_.empty()) {
-    return 0;  // memoization off (or force_serial): nothing to warm
-  }
-  std::size_t warmed = 0;
-  for (const ServerState& server : servers) {
-    if (server.allocated.total() == 0 || server.hardware < 0) {
-      continue;
-    }
-    const auto hw = static_cast<std::size_t>(server.hardware);
-    if (hw >= memos_.size()) {
-      continue;
-    }
-    (void)memos_[hw]->estimate(server.allocated);
-    ++warmed;
-  }
-  return warmed;
 }
 
 namespace {
@@ -213,40 +153,14 @@ struct EvalOutcome {
   bool qos_ok = true;
 };
 
-/// Per-worker reusable buffers: one instance per serial loop or pool
-/// chunk, so candidate evaluation performs no steady-state heap work.
-struct EvalScratch {
-  std::vector<char> used;
-  std::vector<PlacedBlock> blocks;
-  std::vector<double> times;        ///< QoS sort buffer
-  std::vector<int> domain_used;     ///< request VMs per failure domain
-};
-
-/// Per-evaluator candidate-outcome tallies — the struct FleetState reports
-/// too — flushed into the observability registry after the search (stack
-/// counters on the hot path; the flush is guarded, so a disabled session
-/// costs nothing beyond the increments). Tallying never feeds back into
-/// the search — results are unchanged.
+/// Candidate-outcome tallies — the struct FleetState reports too — flushed
+/// into the observability registry after the search (stack counters on
+/// the hot path; the flush is guarded, so a disabled session costs nothing
+/// beyond the increments). Tallying never feeds back into the search —
+/// results are unchanged.
 using SearchTallies = PlanTallies;
 
-void merge(SearchTallies& into, const SearchTallies& other) noexcept {
-  into.evaluated += other.evaluated;
-  into.pruned_bound += other.pruned_bound;
-  into.pruned_infeasible += other.pruned_infeasible;
-}
-
-/// Lock-free running minimum (monotonically decreasing, so a stale read is
-/// always an over-estimate — pruning against it stays sound).
-void atomic_fetch_min(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-/// Read-only evaluation context of one allocate() call, shared by every
-/// search worker.
+/// Read-only evaluation context of one batch search call.
 struct SearchContext {
   const ProactiveConfig& config;
   const std::vector<CostModel>& models;
@@ -272,11 +186,15 @@ struct SearchContext {
   /// Servers grouped by identical (hardware, base allocation, domain)
   /// state (domain joins the key only when spread is armed) —
   /// members of a group yield bitwise-identical placed_on results for any
-  /// block, so the optimized paths estimate once per group and resolve the
-  /// winner to its first unused member (the same tie the plain index-order
-  /// scan keeps). Member lists are ascending; built only for the
-  /// optimized paths (empty under force_serial).
+  /// block, so the search estimates once per group and resolves the
+  /// winner to its first unused member (the same tie a plain index-order
+  /// scan keeps). Member lists are ascending.
   std::vector<std::vector<std::size_t>> groups;
+  /// Per group, the first group with the same (hardware, base allocation).
+  /// Groups that differ only in failure domain share every placed_on
+  /// result, so each such mix is estimated once (with spread off every
+  /// group is its own representative).
+  std::vector<std::size_t> mix_rep;
 
   SearchContext(const ProactiveConfig& config_in,
                 const std::vector<CostModel>& models_in,
@@ -322,30 +240,19 @@ struct SearchContext {
 
   /// Estimation of `block` landing on server `s`: the per-class times, the
   /// marginal energy, the block's summed time and its per-VM QoS pass.
-  /// Returns nullopt when the combined mix is infeasible there. Both
-  /// place_block and the branch-and-bound block minima build PlacedBlocks
-  /// through this one helper, so their doubles are bitwise comparable.
+  /// Returns nullopt when the combined mix is infeasible there. Both the
+  /// greedy placement and the branch-and-bound block minima build
+  /// PlacedBlocks through this one helper, so their doubles are bitwise
+  /// comparable.
   [[nodiscard]] std::optional<PlacedBlock> placed_on(const ClassCounts& block,
                                                      std::size_t s,
                                                      double& time_contrib,
                                                      bool& qos_pass) const;
 
-  /// The per-VM rank place_block orders servers by (energy vs normalized
-  /// mean block time). One definition shared by the plain scan and the
-  /// grouped fast path so both compare the same doubles.
+  /// The per-VM rank the greedy placement orders servers by (energy vs
+  /// normalized mean block time).
   [[nodiscard]] double selection_rank(const PlacedBlock& placed,
                                       double time_contrib) const;
-
-  /// Greedy marginal-cost server choice for one block given the servers
-  /// already taken (ties → first server of the list, as in the paper) and
-  /// the request's running per-domain VM tally (spread constraint; empty
-  /// and ignored when `spread` is null). Pure: depends only on `block`,
-  /// `used` and `domain_used`, so the placement of a block sequence is a
-  /// function of its prefix. Returns nullopt when no unused server can
-  /// host the block.
-  [[nodiscard]] std::optional<PlacedBlock> place_block(
-      const ClassCounts& block, const std::vector<char>& used,
-      const std::vector<int>& domain_used) const;
 
   /// The chosen block's exact contribution to the final α-rank (the rank
   /// is the sum of these over all blocks, so partial sums are lower bounds
@@ -355,17 +262,6 @@ struct SearchContext {
   /// Aggregate rank and QoS feasibility of a fully placed candidate.
   [[nodiscard]] EvalOutcome finalize(const std::vector<PlacedBlock>& blocks,
                                      std::vector<double>& times) const;
-
-  /// Evaluates one typed partition: greedy placement per block, then the
-  /// aggregate rank and the QoS feasibility check. Returns nullopt when
-  /// some block fits nowhere, or — with pruning armed — as soon as the
-  /// partial lower bound exceeds `prune_above` (only candidates strictly
-  /// worse than an already-complete one are ever abandoned, so the search
-  /// result is unchanged). On success `scratch.blocks` holds the placed
-  /// blocks until the next call.
-  [[nodiscard]] std::optional<EvalOutcome> evaluate(
-      const partition::TypedPartition& blocks, double prune_above,
-      EvalScratch& scratch, SearchTallies& tally) const;
 };
 
 std::optional<PlacedBlock> SearchContext::placed_on(const ClassCounts& block,
@@ -413,59 +309,6 @@ double SearchContext::selection_rank(const PlacedBlock& placed,
   return config.goal == ProactiveGoal::kEnergyDelayProduct
              ? std::max(energy_norm, 0.0) * time_norm
              : config.alpha * energy_norm + (1.0 - config.alpha) * time_norm;
-}
-
-std::optional<PlacedBlock> SearchContext::place_block(
-    const ClassCounts& block, const std::vector<char>& used,
-    const std::vector<int>& domain_used) const {
-  // Prefer servers where the block's estimated times respect every
-  // affected class's tightest deadline; fall back to QoS-violating
-  // options only when no server passes (the candidate then fails the
-  // final QoS check and can only be selected via the relaxed path).
-  std::optional<std::size_t> best_server;
-  bool best_qos_pass = false;
-  double best_rank = 0.0;
-  PlacedBlock best_placed;
-  for (std::size_t s = 0; s < servers.size(); ++s) {
-    if (used[s] != 0) {
-      continue;
-    }
-    int domain = -1;
-    if (spread != nullptr) {
-      domain = domain_of(s);
-      if (domain >= 0 &&
-          domain_used[static_cast<std::size_t>(domain)] + block.total() >
-              spread->max_vms_per_domain) {
-        continue;  // the block would push the request past its domain cap
-      }
-    }
-    double time_contrib = 0.0;
-    bool qos_pass = true;
-    const std::optional<PlacedBlock> placed =
-        placed_on(block, s, time_contrib, qos_pass);
-    if (!placed.has_value()) {
-      continue;
-    }
-    const double rank =
-        selection_rank(*placed, time_contrib) +
-        (spread != nullptr
-             ? blast_marginal(domain, block.total(), domain_used)
-             : 0.0);
-    const bool better =
-        !best_server.has_value() ||
-        (qos_pass && !best_qos_pass) ||
-        (qos_pass == best_qos_pass && rank < best_rank);
-    if (better) {
-      best_server = s;
-      best_qos_pass = qos_pass;
-      best_rank = rank;
-      best_placed = *placed;
-    }
-  }
-  if (!best_server.has_value()) {
-    return std::nullopt;  // no server can host this block
-  }
-  return best_placed;
 }
 
 double SearchContext::rank_contribution(const PlacedBlock& placed) const {
@@ -559,68 +402,19 @@ EvalOutcome SearchContext::finalize(const std::vector<PlacedBlock>& blocks,
   return out;
 }
 
-std::optional<EvalOutcome> SearchContext::evaluate(
-    const partition::TypedPartition& blocks, double prune_above,
-    EvalScratch& scratch, SearchTallies& tally) const {
-  // A partition's blocks are per-server groups by definition: two blocks
-  // sharing a server would be the coarser partition with those blocks
-  // merged, which the enumeration visits separately. Keeping servers
-  // distinct also keeps every block's estimate valid for the final mix —
-  // and means a used server is never revisited, so each server's
-  // allocation and standalone energy stay at their base values for the
-  // whole evaluation (read straight from the context, no copies).
-  scratch.used.assign(servers.size(), 0);
-  scratch.blocks.clear();
-  if (spread != nullptr) {
-    scratch.domain_used.assign(
-        static_cast<std::size_t>(spread->domain_count), 0);
-  }
-  double bound = 0.0;  // partial lower bound on the final rank
-
-  for (const ClassCounts& block : blocks) {
-    std::optional<PlacedBlock> placed =
-        place_block(block, scratch.used, scratch.domain_used);
-    if (!placed.has_value()) {
-      ++tally.pruned_infeasible;
-      return std::nullopt;  // no server can host this block
-    }
-    scratch.used[placed->server_index] = 1;
-    if (spread != nullptr) {
-      const int domain = domain_of(placed->server_index);
-      if (domain >= 0) {
-        scratch.domain_used[static_cast<std::size_t>(domain)] +=
-            block.total();
-      }
-    }
-    scratch.blocks.push_back(*placed);
-
-    if (prune_enabled) {
-      // Remaining blocks can only add ≥ 0, so the partial sum of exact
-      // contributions is a lower bound on the final rank.
-      bound += rank_contribution(scratch.blocks.back());
-      if (bound > prune_above) {
-        ++tally.pruned_bound;
-        return std::nullopt;  // cannot beat the best complete candidate
-      }
-    }
-  }
-  ++tally.evaluated;
-  return finalize(scratch.blocks, scratch.times);
-}
-
-/// Prefix-incremental evaluation for the optimized search paths. The
-/// enumeration emits candidates in canonical lex order, so consecutive
-/// candidates share long block prefixes — and a block's greedy placement
-/// is a pure function of the blocks before it (place_block). The
-/// evaluator keeps the previous candidate's placement stack and re-places
-/// only the suffix that differs, which skips most per-candidate server
-/// scans. Server scans themselves collapse onto the context's equivalence
-/// groups: placed_on depends only on a server's (hardware, base
-/// allocation), so each (block shape, group) pair is estimated once per
-/// allocate() call and replayed from a memo afterwards. Values are
-/// bit-identical to SearchContext::evaluate: reused prefixes and memoized
-/// group entries carry the exact PlacedBlock and rank doubles the plain
-/// scorer would recompute.
+/// Prefix-incremental evaluation of the batch search. The enumeration
+/// emits candidates in canonical lex order, so consecutive candidates
+/// share long block prefixes — and a block's greedy placement is a pure
+/// function of the blocks before it. The evaluator keeps the previous
+/// candidate's placement stack and re-places only the suffix that
+/// differs, which skips most per-candidate server scans. Server scans
+/// themselves collapse onto the context's equivalence groups: placed_on
+/// depends only on a server's (hardware, base allocation), so each (block
+/// shape, group) pair is estimated once per allocate() call and replayed
+/// from a memo afterwards. Values are bit-identical to the plain
+/// per-server scorer (tests/testing/reference_pa.hpp): reused prefixes
+/// and memoized group entries carry the exact PlacedBlock and rank doubles
+/// it would recompute.
 class IncrementalEvaluator {
  public:
   explicit IncrementalEvaluator(const SearchContext& ctx)
@@ -630,11 +424,15 @@ class IncrementalEvaluator {
                          : 0,
                      0) {}
 
-  /// As SearchContext::evaluate. Pruning decisions are at least as strong
-  /// as the plain scorer's: the per-block partial bounds are the same
-  /// doubles, the threshold is re-checked against the current
-  /// `prune_above` even on reused prefixes (the threshold only tightens
-  /// over a search, so a previously pruned prefix stays pruned), and the
+  /// Evaluates one typed partition: greedy placement per block, then the
+  /// aggregate rank and the QoS feasibility check. Returns nullopt when
+  /// some block fits nowhere, or — with pruning armed — as soon as a lower
+  /// bound on the final rank exceeds `prune_above` (only candidates
+  /// strictly worse than an already-complete one are ever abandoned, so
+  /// the search result is unchanged). The per-block partial bounds are
+  /// exact rank contributions; the threshold is re-checked against the
+  /// current `prune_above` even on reused prefixes (it only tightens over
+  /// a search, so a previously pruned prefix stays pruned); and the
   /// memoized per-shape block minima sharpen the bound with the cheapest
   /// possible cost of the blocks not yet placed — often rejecting a
   /// candidate before any server scan.
@@ -667,7 +465,7 @@ class IncrementalEvaluator {
       // Every unplaced block will cost at least its cheapest-anywhere
       // contribution (min over ALL servers, so removing used ones can
       // only increase the actual). A block with no feasible server at all
-      // sinks the candidate outright — place_block could never host it.
+      // sinks the candidate outright — no placement could ever host it.
       for (std::size_t i = keep; i < blocks.size(); ++i) {
         const double block_min = min_contribution(blocks[i]);
         if (block_min == kInf) {
@@ -679,8 +477,7 @@ class IncrementalEvaluator {
       const double prefix_bound = keep > 0 ? bound_after_[keep - 1] : 0.0;
       if (prefix_bound + remaining_min > prune_above) {
         // The partial bounds are monotone (every term ≥ 0 when pruning is
-        // armed): the plain scorer would have abandoned this candidate no
-        // later than its last block.
+        // armed): the candidate cannot beat the best complete one.
         ++tallies_.pruned_bound;
         return std::nullopt;
       }
@@ -734,7 +531,7 @@ class IncrementalEvaluator {
   struct GroupEval {
     std::optional<PlacedBlock> placed;  ///< nullopt: infeasible for group
     bool qos_pass = true;
-    double sel_rank = 0.0;      ///< place_block's server-ordering rank
+    double sel_rank = 0.0;      ///< greedy server-ordering rank
     double contribution = 0.0;  ///< rank_contribution (bound arithmetic)
   };
 
@@ -750,7 +547,14 @@ class IncrementalEvaluator {
     }
     std::vector<GroupEval>& evals = it->second;
     evals.reserve(ctx_.groups.size());
-    for (const std::vector<std::size_t>& members : ctx_.groups) {
+    for (std::size_t g = 0; g < ctx_.groups.size(); ++g) {
+      if (ctx_.mix_rep[g] != g) {
+        // Same hardware and mix as an earlier group: the same doubles
+        // (place_grouped overwrites server_index with the chosen member).
+        evals.push_back(evals[ctx_.mix_rep[g]]);
+        continue;
+      }
+      const std::vector<std::size_t>& members = ctx_.groups[g];
       GroupEval eval;
       double time_contrib = 0.0;
       bool qos_pass = true;
@@ -766,10 +570,15 @@ class IncrementalEvaluator {
     return it->second;
   }
 
-  /// As SearchContext::place_block, resolved over groups: the winning
-  /// (qos desc, rank asc) entry — ties broken by the smallest unused
-  /// member index across groups, which is exactly the server the plain
-  /// index-order scan would have kept.
+  /// Greedy marginal-cost server choice for one block given the servers
+  /// already taken and the request's running per-domain VM tally, resolved
+  /// over groups: the winning (qos desc, rank asc) entry — ties broken by
+  /// the smallest unused member index across groups, which is exactly the
+  /// server a plain index-order scan would keep (ties → first server of
+  /// the list, as in the paper). Servers whose estimates respect every
+  /// affected class's tightest deadline are preferred; QoS-violating
+  /// options win only when no server passes (the candidate then fails the
+  /// final QoS check and can only be selected via the relaxed path).
   [[nodiscard]] std::optional<PlacedBlock> place_grouped(
       const ClassCounts& block) {
     const std::vector<GroupEval>& evals = shape_evals(block);
@@ -784,7 +593,7 @@ class IncrementalEvaluator {
       int domain = -1;
       if (ctx_.spread != nullptr) {
         // The group key includes the failure domain, so one check masks
-        // every member — exactly the servers the plain scan would skip.
+        // every member — exactly the servers a per-server scan would skip.
         domain = ctx_.domain_of(ctx_.groups[g].front());
         if (domain >= 0 &&
             domain_used_[static_cast<std::size_t>(domain)] + block.total() >
@@ -804,7 +613,7 @@ class IncrementalEvaluator {
       }
       // The memoized sel_rank is domain-usage-free; the blast marginal
       // depends on the running per-domain tally, so it is added here —
-      // the same sum the plain scan computes, bit for bit.
+      // the same sum a per-server scan computes, bit for bit.
       const double rank =
           eval.sel_rank +
           (ctx_.spread != nullptr
@@ -853,24 +662,17 @@ class IncrementalEvaluator {
   SearchTallies tallies_;
 };
 
-/// Running optima of a search, with the deterministic tie-break: strictly
-/// smaller rank wins; equal ranks keep the earlier candidate in canonical
-/// enumeration order — exactly what a serial first-wins scan produces.
+/// Running optima of a search: strictly smaller rank wins, so equal ranks
+/// keep the earlier candidate in canonical enumeration order.
 struct SearchBest {
   std::optional<Candidate> any;
   std::optional<Candidate> qos;
-  std::size_t any_index = 0;
-  std::size_t qos_index = 0;
 
   void consider(const EvalOutcome& out,
-                const std::vector<PlacedBlock>& blocks, std::size_t index) {
-    const bool better_any =
-        !any.has_value() || out.combined < any->combined ||
-        (out.combined == any->combined && index < any_index);
+                const std::vector<PlacedBlock>& blocks) {
+    const bool better_any = !any.has_value() || out.combined < any->combined;
     const bool better_qos =
-        out.qos_ok &&
-        (!qos.has_value() || out.combined < qos->combined ||
-         (out.combined == qos->combined && index < qos_index));
+        out.qos_ok && (!qos.has_value() || out.combined < qos->combined);
     if (!better_any && !better_qos) {
       return;  // the common case: no Candidate is ever materialized
     }
@@ -882,30 +684,9 @@ struct SearchBest {
     cand.qos_ok = out.qos_ok;
     if (better_any) {
       any = cand;
-      any_index = index;
     }
     if (better_qos) {
       qos = std::move(cand);
-      qos_index = index;
-    }
-  }
-
-  void merge(SearchBest&& other) {
-    if (other.any.has_value()) {
-      if (!any.has_value() || other.any->combined < any->combined ||
-          (other.any->combined == any->combined &&
-           other.any_index < any_index)) {
-        any = std::move(other.any);
-        any_index = other.any_index;
-      }
-    }
-    if (other.qos.has_value()) {
-      if (!qos.has_value() || other.qos->combined < qos->combined ||
-          (other.qos->combined == qos->combined &&
-           other.qos_index < qos_index)) {
-        qos = std::move(other.qos);
-        qos_index = other.qos_index;
-      }
     }
   }
 };
@@ -953,22 +734,25 @@ bool ProactiveAllocator::plan_incremental(
       if (synced == SyncOutcome::kReset) {
         obs_.fleet_resyncs->add();
       }
+      flush_obs(out, fleet->last_plan_tallies());
+      // The `pa.memo.*` gauges report the FleetState score memo; the batch
+      // search keeps no memo across calls and leaves them alone.
       const FleetStats stats = fleet->stats();
-      modeldb::EstimateCache::Stats memo;
-      memo.hits = stats.memo_hits;
-      memo.misses = stats.memo_misses;
-      memo.entries = stats.memo_entries;
-      flush_obs(out, fleet->last_plan_tallies(), 1, memo);
+      obs_.memo_hits->set(static_cast<double>(stats.memo_hits));
+      obs_.memo_misses->set(static_cast<double>(stats.memo_misses));
+      obs_.memo_entries->set(static_cast<double>(stats.memo_entries));
+      const double lookups =
+          static_cast<double>(stats.memo_hits + stats.memo_misses);
+      obs_.memo_hit_rate->set(
+          lookups > 0.0 ? static_cast<double>(stats.memo_hits) / lookups
+                        : 0.0);
     }
     return true;
   });
 }
 
 void ProactiveAllocator::flush_obs(const AllocationResult& result,
-                                   const PlanTallies& tally,
-                                   std::size_t workers,
-                                   const modeldb::EstimateCache::Stats& memo)
-    const {
+                                   const PlanTallies& tally) const {
   const std::size_t examined = result.partitions_examined;
   obs_.calls->add();
   obs_.candidates->add(examined);
@@ -976,7 +760,6 @@ void ProactiveAllocator::flush_obs(const AllocationResult& result,
   obs_.pruned_bound->add(tally.pruned_bound);
   obs_.pruned_infeasible->add(tally.pruned_infeasible);
   obs_.candidates_per_call->record(static_cast<double>(examined));
-  obs_.workers->set(static_cast<double>(workers));
   if (result.outcome.search_truncated) {
     obs_.budget_truncated->add();
   }
@@ -992,12 +775,6 @@ void ProactiveAllocator::flush_obs(const AllocationResult& result,
       obs_.rejected->add();
       break;
   }
-  obs_.memo_hits->set(static_cast<double>(memo.hits));
-  obs_.memo_misses->set(static_cast<double>(memo.misses));
-  obs_.memo_entries->set(static_cast<double>(memo.entries));
-  const double lookups = static_cast<double>(memo.hits + memo.misses);
-  obs_.memo_hit_rate->set(
-      lookups > 0.0 ? static_cast<double>(memo.hits) / lookups : 0.0);
 }
 
 AllocationResult ProactiveAllocator::search(
@@ -1037,16 +814,6 @@ AllocationResult ProactiveAllocator::search(
   ctx.time_ref = models_.front().time_reference_s(request);
   ctx.energy_ref = models_.front().energy_reference_j(request);
 
-  // Current allocations and their standalone energies (cached: the
-  // marginal energy of the first block landing on a busy server needs it).
-  ctx.base_alloc.reserve(servers.size());
-  ctx.base_energy.reserve(servers.size());
-  for (const ServerState& server : servers) {
-    ctx.base_alloc.push_back(server.allocated);
-    ctx.base_energy.push_back(
-        cost_model(server.hardware).mix_energy_j(server.allocated));
-  }
-
   for (const VmRequest& vm : vms) {
     ctx.deadlines[static_cast<int>(vm.profile)].push_back(vm.max_exec_time_s);
   }
@@ -1054,32 +821,44 @@ AllocationResult ProactiveAllocator::search(
     std::sort(list.begin(), list.end());
   }
 
-  if (!config_.force_serial) {
-    // Server-equivalence groups for the optimized paths: placed_on reads
-    // only a server's hardware class and base allocation, so servers that
-    // agree on both are interchangeable up to the index tie-break.
-    std::map<std::tuple<int, int, int, int, int>, std::size_t> group_ids;
-    for (std::size_t s = 0; s < servers.size(); ++s) {
-      const ClassCounts& alloc = ctx.base_alloc[s];
-      // The spread quota masks whole domains mid-evaluation, so members of
-      // a group must share one (unmapped servers are all unconstrained and
-      // keep sharing the -1 key). With spread off the key degenerates to
-      // the original 4-tuple grouping.
-      const int domain =
-          ctx.spread != nullptr ? ctx.spread->domain_of(servers[s].id) : -1;
-      const auto key = std::make_tuple(servers[s].hardware, alloc.cpu,
-                                       alloc.mem, alloc.io, domain);
-      const auto [it, inserted] =
-          group_ids.try_emplace(key, ctx.groups.size());
-      if (inserted) {
-        ctx.groups.emplace_back();
-      }
-      ctx.groups[it->second].push_back(s);
+  // Server-equivalence groups: placed_on reads only a server's hardware
+  // class and base allocation, so servers that agree on both are
+  // interchangeable up to the index tie-break. The standalone energy of a
+  // mix (the marginal energy of the first block landing on a busy server
+  // needs it) is one model estimate shared by every group holding it.
+  ctx.base_alloc.reserve(servers.size());
+  ctx.base_energy.reserve(servers.size());
+  std::vector<double> group_energy;
+  std::map<std::tuple<int, int, int, int, int>, std::size_t> group_ids;
+  std::map<std::tuple<int, int, int, int>, std::size_t> mix_ids;
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    const ClassCounts& alloc = servers[s].allocated;
+    // The spread quota masks whole domains mid-evaluation, so members of
+    // a group must share one (unmapped servers are all unconstrained and
+    // keep sharing the -1 key). With spread off the key degenerates to
+    // the original 4-tuple grouping.
+    const int domain =
+        ctx.spread != nullptr ? ctx.spread->domain_of(servers[s].id) : -1;
+    const auto key = std::make_tuple(servers[s].hardware, alloc.cpu,
+                                     alloc.mem, alloc.io, domain);
+    const auto [it, inserted] = group_ids.try_emplace(key, ctx.groups.size());
+    if (inserted) {
+      const auto [mix, new_mix] = mix_ids.try_emplace(
+          std::make_tuple(servers[s].hardware, alloc.cpu, alloc.mem,
+                          alloc.io),
+          ctx.groups.size());
+      ctx.groups.emplace_back();
+      ctx.mix_rep.push_back(mix->second);
+      group_energy.push_back(
+          new_mix ? cost_model(servers[s].hardware).mix_energy_j(alloc)
+                  : group_energy[mix->second]);
     }
+    ctx.groups[it->second].push_back(s);
+    ctx.base_alloc.push_back(alloc);
+    ctx.base_energy.push_back(group_energy[it->second]);
   }
 
-  if (config_.prune_search && !config_.force_serial &&
-      config_.goal == ProactiveGoal::kAlphaWeighted) {
+  if (config_.goal == ProactiveGoal::kAlphaWeighted) {
     bool energy_bounded = true;
     for (const CostModel& model : models_) {
       energy_bounded = energy_bounded && model.db().energy_monotone();
@@ -1099,136 +878,31 @@ AllocationResult ProactiveAllocator::search(
   };
   const std::size_t max_blocks = std::max<std::size_t>(servers.size(), 1);
 
+  // Candidates stream straight out of the enumeration (no
+  // materialization); the pruning threshold tracks the running optimum.
   SearchBest best;
-  SearchTallies tally;
+  IncrementalEvaluator inc(ctx);
   std::size_t examined = 0;
-
-  const std::size_t workers = config_.force_serial
-                                  ? 1
-                                  : util::ThreadPool::recommended_workers(
-                                        static_cast<std::size_t>(
-                                            config_.search_threads));
-  if (workers <= 1) {
-    // Serial scoring on the calling thread, candidates streamed straight
-    // out of the enumeration (no materialization). The pruning threshold
-    // tracks the running optima exactly like the parallel path's shared
-    // atomics do. force_serial pins the plain per-candidate scorer; the
-    // optimized serial path evaluates prefix-incrementally.
-    EvalScratch scratch;
-    std::optional<IncrementalEvaluator> inc;
-    if (!config_.force_serial) {
-      inc.emplace(ctx);
-    }
-    const std::size_t visited = partition::for_each_typed_partition(
-        request, block_ok, max_blocks,
-        [&](const partition::TypedPartition& blocks) {
-          const std::size_t index = examined++;
-          double prune_above = kInf;
-          if (ctx.prune_enabled) {
-            if (config_.enforce_qos) {
-              prune_above = best.qos.has_value() ? best.qos->combined : kInf;
-            } else {
-              prune_above = best.any.has_value() ? best.any->combined : kInf;
-            }
-          }
-          const std::optional<EvalOutcome> out =
-              inc.has_value()
-                  ? inc->evaluate(blocks, prune_above)
-                  : ctx.evaluate(blocks, prune_above, scratch, tally);
-          if (out.has_value()) {
-            best.consider(*out, inc.has_value() ? inc->blocks()
-                                                : scratch.blocks,
-                          index);
-          }
-          return examined < config_.max_partitions;
-        });
-    AEVA_INVARIANT(visited == examined,
-                   "partition enumeration visited ", visited,
-                   " but the scorer saw ", examined);
-    if (inc.has_value()) {
-      merge(tally, inc->tallies());
-    }
-  } else {
-    // Parallel fan-out: materialize the candidate stream (bounded by the
-    // budget), dispatch fixed-size index ranges to the pool, reduce the
-    // per-chunk optima in chunk order. Workers publish their best ranks
-    // through monotonically-decreasing atomics that other workers read as
-    // pruning bounds — stale reads only make pruning less aggressive,
-    // never unsound, and the final reduction does not depend on them.
-    const std::vector<partition::TypedPartition> candidates =
-        partition::collect_typed_partitions(request, block_ok, max_blocks,
-                                            config_.max_partitions);
-    examined = candidates.size();
-    const std::size_t chunk = config_.search_chunk;
-    const std::size_t chunk_count = (candidates.size() + chunk - 1) / chunk;
-    if (chunk_count <= 1) {
-      // Too little work to amortize a dispatch; score inline. Thresholds
-      // behave identically, so the result is unchanged.
-      IncrementalEvaluator inc(ctx);
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
+  const std::size_t visited = partition::for_each_typed_partition(
+      request, block_ok, max_blocks,
+      [&](const partition::TypedPartition& blocks) {
+        ++examined;
         double prune_above = kInf;
         if (ctx.prune_enabled) {
-          if (config_.enforce_qos) {
-            prune_above = best.qos.has_value() ? best.qos->combined : kInf;
-          } else {
-            prune_above = best.any.has_value() ? best.any->combined : kInf;
-          }
+          const std::optional<Candidate>& incumbent =
+              config_.enforce_qos ? best.qos : best.any;
+          prune_above = incumbent.has_value() ? incumbent->combined : kInf;
         }
         const std::optional<EvalOutcome> out =
-            inc.evaluate(candidates[i], prune_above);
+            inc.evaluate(blocks, prune_above);
         if (out.has_value()) {
-          best.consider(*out, inc.blocks(), i);
+          best.consider(*out, inc.blocks());
         }
-      }
-      merge(tally, inc.tallies());
-    } else {
-      util::ThreadPool& pool = runtime_->ensure_pool(workers);
-      std::atomic<double> best_any_rank{kInf};
-      std::atomic<double> best_qos_rank{kInf};
-      std::vector<SearchBest> chunk_best(chunk_count);
-      std::vector<SearchTallies> chunk_tallies(chunk_count);
-      for (std::size_t c = 0; c < chunk_count; ++c) {
-        pool.submit([&, c] {
-          const std::size_t begin = c * chunk;
-          const std::size_t end =
-              std::min(begin + chunk, candidates.size());
-          SearchBest local;
-          IncrementalEvaluator inc(ctx);
-          for (std::size_t i = begin; i < end; ++i) {
-            double prune_above = kInf;
-            if (ctx.prune_enabled) {
-              prune_above =
-                  config_.enforce_qos
-                      ? best_qos_rank.load(std::memory_order_relaxed)
-                      : best_any_rank.load(std::memory_order_relaxed);
-            }
-            const std::optional<EvalOutcome> out =
-                inc.evaluate(candidates[i], prune_above);
-            if (out.has_value()) {
-              local.consider(*out, inc.blocks(), i);
-              atomic_fetch_min(best_any_rank, out->combined);
-              if (out->qos_ok) {
-                atomic_fetch_min(best_qos_rank, out->combined);
-              }
-            }
-          }
-          chunk_best[c] = std::move(local);
-          chunk_tallies[c] = inc.tallies();
-        });
-      }
-      pool.wait();
-      for (SearchBest& local : chunk_best) {
-        best.merge(std::move(local));
-      }
-      for (const SearchTallies& chunk_tally : chunk_tallies) {
-        merge(tally, chunk_tally);
-        if (obs_.chunk_evaluated != nullptr) {
-          obs_.chunk_evaluated->record(
-              static_cast<double>(chunk_tally.evaluated));
-        }
-      }
-    }
-  }
+        return examined < config_.max_partitions;
+      });
+  AEVA_INVARIANT(visited == examined, "partition enumeration visited ",
+                 visited, " but the scorer saw ", examined);
+  const SearchTallies& tally = inc.tallies();
   result.partitions_examined = examined;
 
   // Budget truncation: the enumeration stopped at `max_partitions`, so
@@ -1243,7 +917,7 @@ AllocationResult ProactiveAllocator::search(
   // never influences the decision.
   const auto obs_flush = [&](const AllocationResult& out) {
     if (obs_.calls != nullptr) {
-      flush_obs(out, tally, workers, memo_stats());
+      flush_obs(out, tally);
     }
   };
 

@@ -21,18 +21,13 @@
 ///   each call's server span with deltas before planning on it. A call
 ///   therefore costs one linear compare walk over the span plus a
 ///   fleet-size-independent plan, instead of rebuilding O(fleet) context.
-///   It runs when the serial optimized search would: `force_serial` off,
-///   one search worker, spread off, and server ids strictly ascending
+///   It runs when spread is off and server ids are strictly ascending
 ///   (FleetState breaks ties by id, the batch search by span position).
 /// - **Batch.** Every other call (spread configs, reordered spans such as
-///   the thermal guard's, `search_threads > 1`, or a contended fleet
-///   lock) rebuilds its context per call. Its candidate scoring can fan
-///   out over a worker pool with memoized database lookups and
-///   branch-and-bound pruning; the reduction is deterministic (min by
-///   score, ties to the earliest candidate in canonical enumeration
-///   order), so every execution mode returns the same bits as the serial
-///   reference — see the search-execution knobs on ProactiveConfig and
-///   docs/PERFORMANCE.md.
+///   the thermal guard's, or a contended fleet lock) rebuilds its context
+///   per call and scores the candidates serially on the calling thread,
+///   over server-equivalence groups and with branch-and-bound pruning
+///   wherever a sound bound exists (docs/PERFORMANCE.md).
 
 #include <cstddef>
 #include <cstdint>
@@ -44,7 +39,6 @@
 #include "core/first_fit.hpp"
 #include "core/types.hpp"
 #include "modeldb/database.hpp"
-#include "modeldb/estimate_cache.hpp"
 #include "obs/session.hpp"
 
 namespace aeva::core {
@@ -96,30 +90,9 @@ struct ProactiveConfig {
   SpreadConfig spread;
 
   // --- search execution (docs/PERFORMANCE.md) ------------------------------
-  // The knobs below change only how fast the search runs, never what it
-  // returns: parallel, memoized, and pruned searches are bit-identical to
-  // the serial reference (regression-tested, including under TSan).
-  /// Worker threads scoring candidates: 1 → score on the calling thread;
-  /// 0 → one worker per hardware thread; N → a pool of N workers (created
-  /// lazily on first use, reused across allocate() calls).
+  /// Search worker threads. The search always runs serially on the calling
+  /// thread; any value other than 1 is rejected at construction.
   int search_threads = 1;
-  /// Candidates per work unit handed to a pool worker. Larger chunks
-  /// amortize dispatch; smaller chunks spread uneven candidate costs.
-  std::size_t search_chunk = 64;
-  /// Memoize model-database estimates in a sharded, mutex-striped cache
-  /// (modeldb::EstimateCache) shared by all workers and re-used across
-  /// allocate() calls — repeated (Ncpu, Nmem, Nio) lookups hit memory
-  /// instead of binary search.
-  bool memoize_estimates = true;
-  /// Branch-and-bound: abandon a candidate as soon as a sound lower bound
-  /// on its final rank exceeds the best complete candidate found so far.
-  /// Automatically inert when no sound bound exists (EDP goal, or an
-  /// energy-non-monotone database under α > 0) — see docs/PERFORMANCE.md.
-  bool prune_search = true;
-  /// Escape hatch: force the plain single-threaded reference scorer (no
-  /// pool, no memo cache, no pruning), ignoring the three knobs above.
-  /// The equality tests pin the optimized paths to this one.
-  bool force_serial = false;
 
   // --- observability (docs/OBSERVABILITY.md) -------------------------------
   /// Metrics/tracing session shared with the rest of the run. Null (the
@@ -157,9 +130,7 @@ class ProactiveAllocator final : public Allocator {
   /// Thread-safe and re-entrant: concurrent calls (e.g. through decorator
   /// guards) are safe. The cached FleetState sits behind a mutex that a
   /// call only try-locks — a call that finds it busy runs the batch search
-  /// instead of waiting — the memo cache is internally synchronized, and
-  /// the worker pool serializes its fan-out phases, so every caller still
-  /// gets the bit-exact serial-reference answer.
+  /// instead of waiting — so every caller still gets the same bits.
   [[nodiscard]] AllocationResult allocate(
       std::span<const VmRequest> vms,
       std::span<const ServerState> servers) const override;
@@ -182,27 +153,10 @@ class ProactiveAllocator final : public Allocator {
   /// Cost model of a hardware class; throws on an unknown class.
   [[nodiscard]] const CostModel& cost_model(int hardware) const;
 
-  /// Aggregated memo-cache statistics of the batch search over all
-  /// hardware classes (zeros when `memoize_estimates` is off or
-  /// `force_serial` is on; the incremental path keeps its own score memo,
-  /// reported as `pa.memo.*` — docs/OBSERVABILITY.md).
-  [[nodiscard]] modeldb::EstimateCache::Stats memo_stats() const;
-
-  /// Re-warms the per-hardware-class estimate memo caches against a fleet
-  /// — one estimate() per occupied server — and returns how many entries
-  /// were touched. A process restored from a snapshot
-  /// (docs/RESILIENCE.md) calls this with the restored server states so
-  /// its first admissions after resume do not pay cold-cache latency.
-  /// No-op (returns 0) when memoization is off or `force_serial` is set;
-  /// never changes any allocation decision (the cache is semantically
-  /// transparent).
-  std::size_t rewarm(std::span<const ServerState> servers) const;
-
  private:
-  /// Mutable search machinery shared by const allocate() calls (and by
-  /// copies of the allocator): the cached FleetState of the incremental
-  /// path and the worker pool of the parallel batch search, each created
-  /// lazily under its mutex on first use and reused afterwards.
+  /// Mutable search state shared by const allocate() calls (and by copies
+  /// of the allocator): the cached FleetState of the incremental path,
+  /// created lazily under its mutex on first use and reused afterwards.
   struct SearchRuntime;
 
   /// Pre-resolved metric handles (all null when `config_.obs` is null, so
@@ -219,8 +173,6 @@ class ProactiveAllocator final : public Allocator {
     obs::Counter* rejected = nullptr;
     obs::Counter* budget_truncated = nullptr;
     obs::Histogram* candidates_per_call = nullptr;
-    obs::Histogram* chunk_evaluated = nullptr;
-    obs::Gauge* workers = nullptr;
     obs::Gauge* memo_hits = nullptr;
     obs::Gauge* memo_misses = nullptr;
     obs::Gauge* memo_hit_rate = nullptr;
@@ -238,20 +190,17 @@ class ProactiveAllocator final : public Allocator {
   [[nodiscard]] AllocationResult search(
       std::span<const VmRequest> vms,
       std::span<const ServerState> servers) const;
-  /// Flushes one call's `pa.*` metrics. Callers guard on `obs_.calls`
-  /// (observability on) and skip gathering the arguments otherwise.
-  void flush_obs(const AllocationResult& result, const PlanTallies& tally,
-                 std::size_t workers,
-                 const modeldb::EstimateCache::Stats& memo) const;
+  /// Flushes one call's `pa.*` search and outcome metrics. Callers guard
+  /// on `obs_.calls` (observability on) and skip gathering the arguments
+  /// otherwise.
+  void flush_obs(const AllocationResult& result,
+                 const PlanTallies& tally) const;
 
   ProactiveConfig config_;
-  /// Calls may take the incremental path: force_serial off, one search
-  /// worker, spread off (fixed at construction).
+  /// Calls may take the incremental path: spread off (fixed at
+  /// construction).
   bool incremental_ = false;
   std::vector<CostModel> models_;
-  /// Per-hardware-class memo caches (engaged with `memoize_estimates`;
-  /// attached to the corresponding CostModel).
-  std::vector<std::shared_ptr<modeldb::EstimateCache>> memos_;
   std::shared_ptr<SearchRuntime> runtime_;
   /// Degradation leg (engaged only with `degrade_to_first_fit`).
   std::optional<FirstFitAllocator> fallback_;

@@ -353,22 +353,6 @@ void require_snapshot(bool condition, const char* what) {
 
 }  // namespace
 
-std::vector<core::ServerState> restored_server_states(
-    const persist::SimSnapshot& snapshot, const CloudConfig& cloud) {
-  std::vector<core::ServerState> states;
-  states.reserve(snapshot.servers.size());
-  for (std::size_t s = 0; s < snapshot.servers.size(); ++s) {
-    const persist::ServerPersistState& server = snapshot.servers[s];
-    if (cloud.failure.enabled && (server.down || server.isolated)) {
-      continue;
-    }
-    const int hardware = s < cloud.hardware.size() ? cloud.hardware[s] : 0;
-    states.push_back(core::ServerState{static_cast<int>(s), server.alloc,
-                                       server.powered, hardware});
-  }
-  return states;
-}
-
 SimMetrics Simulator::run(const trace::PreparedWorkload& workload,
                           const core::Allocator& allocator,
                           const IntervalObserver& observer) const {

@@ -263,12 +263,4 @@ class Simulator {
   CloudConfig cloud_;
 };
 
-/// The allocator's view of a snapshotted fleet (crashed servers masked,
-/// exactly as the simulator presents it): used to re-warm allocator-side
-/// caches — e.g. ProactiveAllocator::rewarm — after a restore, so a
-/// resumed process does not pay cold-cache latency on its first
-/// admissions.
-[[nodiscard]] std::vector<core::ServerState> restored_server_states(
-    const persist::SimSnapshot& snapshot, const CloudConfig& cloud);
-
 }  // namespace aeva::datacenter

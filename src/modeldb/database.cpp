@@ -65,6 +65,11 @@ ModelDatabase::ModelDatabase(std::vector<Record> records, BaseParameters base)
     }
     return true;
   }();
+  for (const workload::ProfileClass profile : workload::kAllProfileClasses) {
+    ClassCounts solo;
+    solo.of(profile) = 1;
+    solo_energy_j_[static_cast<std::size_t>(profile)] = estimate(solo).energy_j;
+  }
 }
 
 const Record* ModelDatabase::find(ClassCounts key) const noexcept {

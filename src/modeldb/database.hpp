@@ -63,6 +63,14 @@ class ModelDatabase {
     return energy_monotone_;
   }
 
+  /// estimate() energy of one VM of `profile` running alone. Computed once
+  /// at construction: every allocation decision's energy normalization
+  /// reads it.
+  [[nodiscard]] double solo_energy_j(
+      workload::ProfileClass profile) const noexcept {
+    return solo_energy_j_[static_cast<std::size_t>(profile)];
+  }
+
   [[nodiscard]] const BaseParameters& base() const noexcept { return base_; }
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
@@ -93,6 +101,7 @@ class ModelDatabase {
   BaseParameters base_;
   workload::ClassCounts extent_;
   bool energy_monotone_ = false;
+  double solo_energy_j_[workload::kProfileClassCount] = {0.0, 0.0, 0.0};
 };
 
 }  // namespace aeva::modeldb

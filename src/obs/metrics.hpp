@@ -10,10 +10,10 @@
 ///  * `Gauge`    — last-written double (relaxed atomic store).
 ///  * `Histogram`— fixed-bucket distribution plus Welford summary stats.
 ///                 Recording lands on one of several thread-striped shards
-///                 (thread-id hash picks the stripe, as in
-///                 modeldb::EstimateCache), so concurrent search workers
-///                 almost never touch the same lock; `snapshot()` merges
-///                 the shards with `util::RunningStats::merge`.
+///                 (thread-id hash picks the stripe), so concurrent
+///                 recorders almost never touch the same lock;
+///                 `snapshot()` merges the shards with
+///                 `util::RunningStats::merge`.
 ///
 /// Metric objects are created by and owned by a `MetricsRegistry`;
 /// references returned by the registry stay valid for the registry's

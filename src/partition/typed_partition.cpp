@@ -100,49 +100,6 @@ std::size_t count_typed_partitions(
       total, block_ok, [](const TypedPartition&) { return true; });
 }
 
-std::size_t for_each_typed_partition_chunk(
-    ClassCounts total,
-    const std::function<bool(const ClassCounts&)>& block_ok,
-    std::size_t max_blocks, std::size_t chunk_size,
-    const std::function<bool(std::vector<TypedPartition>&&)>& visit_chunk) {
-  AEVA_REQUIRE(chunk_size >= 1, "chunk size must be >= 1");
-  AEVA_REQUIRE(static_cast<bool>(visit_chunk), "null callback");
-  std::vector<TypedPartition> chunk;
-  chunk.reserve(chunk_size);
-  bool stopped = false;
-  const std::size_t generated = for_each_typed_partition(
-      total, block_ok, max_blocks, [&](const TypedPartition& partition) {
-        chunk.push_back(partition);
-        if (chunk.size() < chunk_size) {
-          return true;
-        }
-        std::vector<TypedPartition> full;
-        full.reserve(chunk_size);
-        full.swap(chunk);
-        const bool keep_going = visit_chunk(std::move(full));
-        stopped = !keep_going;
-        return keep_going;
-      });
-  if (!stopped && !chunk.empty()) {
-    static_cast<void>(visit_chunk(std::move(chunk)));
-  }
-  return generated;
-}
-
-std::vector<TypedPartition> collect_typed_partitions(
-    ClassCounts total,
-    const std::function<bool(const ClassCounts&)>& block_ok,
-    std::size_t max_blocks, std::size_t limit) {
-  AEVA_REQUIRE(limit >= 1, "need room for at least one partition");
-  std::vector<TypedPartition> out;
-  static_cast<void>(for_each_typed_partition(
-      total, block_ok, max_blocks, [&](const TypedPartition& partition) {
-        out.push_back(partition);
-        return out.size() < limit;
-      }));
-  return out;
-}
-
 TypedPartition canonicalize(TypedPartition partition) {
   std::sort(partition.begin(), partition.end(), lex_greater);
   return partition;

@@ -55,25 +55,6 @@ using TypedPartition = std::vector<workload::ClassCounts>;
     workload::ClassCounts total,
     const std::function<bool(const workload::ClassCounts&)>& block_ok);
 
-/// Chunked enumeration for parallel fan-out: partitions are generated in
-/// the same canonical order as `for_each_typed_partition` but delivered in
-/// batches of up to `chunk_size`, so a search can hand each batch to a
-/// worker while the generator keeps producing. The visitor returns false
-/// to stop after the current chunk (the final chunk may be short).
-/// Returns the number of partitions generated. `chunk_size` must be ≥ 1.
-[[nodiscard]] std::size_t for_each_typed_partition_chunk(
-    workload::ClassCounts total,
-    const std::function<bool(const workload::ClassCounts&)>& block_ok,
-    std::size_t max_blocks, std::size_t chunk_size,
-    const std::function<bool(std::vector<TypedPartition>&&)>& visit_chunk);
-
-/// Materializes the first `limit` typed partitions, in enumeration order —
-/// the candidate list a parallel search scores by index range.
-[[nodiscard]] std::vector<TypedPartition> collect_typed_partitions(
-    workload::ClassCounts total,
-    const std::function<bool(const workload::ClassCounts&)>& block_ok,
-    std::size_t max_blocks, std::size_t limit);
-
 /// Signature of an element-level partition: the multiset of per-block
 /// class counts, canonically sorted. Used by tests to prove the typed
 /// enumeration is exactly the quotient of the set enumeration.

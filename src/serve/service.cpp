@@ -1547,9 +1547,6 @@ ServeResult AllocationService::resume(
   const std::uint64_t fp = stream_fingerprint(stream);
   Loop loop(*this, stream);
   loop.restore(snapshot, fp);
-  // Cold-cache mitigation, same as the simulator's resume path: re-warm
-  // the estimate memo against the restored fleet (never changes results).
-  (void)primary_.rewarm(loop.up_servers());
   return loop.go(fp, /*resumed=*/true);
 }
 

@@ -12,7 +12,7 @@
 /// primitives outside src/util/: a raw `std::mutex` is invisible to the
 /// analysis, so tools/lint/aeva_lint.py (`raw-mutex`) rejects it.
 ///
-/// Usage pattern (see obs::Histogram or modeldb::EstimateCache):
+/// Usage pattern (see obs::Histogram or obs::MetricsRegistry):
 ///
 ///     struct Shard {
 ///       mutable util::Mutex mutex;

@@ -13,8 +13,8 @@
 ///      regardless of worker interleaving).
 ///   3. No work stealing, no futures, no task priorities — callers that
 ///      need a reduction keep per-task output slots and reduce after
-///      `wait()`, which is how bit-reproducible parallel searches are
-///      built (see core::ProactiveAllocator and docs/PERFORMANCE.md).
+///      `wait()`, which is how bit-reproducible parallel sweeps are
+///      built (see modeldb::Campaign).
 ///
 /// The pool is internally synchronized: `submit` may be called from any
 /// thread, including from inside a task. `wait` must not be called from

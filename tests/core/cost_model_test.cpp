@@ -77,10 +77,12 @@ TEST(CostModel, SoloTimesComeFromTableI) {
 
 TEST(CostModel, SoloEnergyIsSingleVmRecord) {
   const CostModel model(db());
-  ClassCounts solo;
-  solo.of(ProfileClass::kMem) = 1;
-  EXPECT_DOUBLE_EQ(model.solo_energy_j(ProfileClass::kMem),
-                   db().estimate(solo).energy_j);
+  for (const ProfileClass profile : workload::kAllProfileClasses) {
+    ClassCounts solo;
+    solo.of(profile) = 1;
+    EXPECT_EQ(model.solo_energy_j(profile), db().estimate(solo).energy_j)
+        << workload::to_string(profile);
+  }
 }
 
 TEST(CostModel, ReferencesAreClassWeightedMeans) {

@@ -1,7 +1,7 @@
 /// Incremental-vs-exhaustive parity: over 30 random seeds,
 /// FleetState::plan must reproduce the plain reference scorer
-/// (ProactiveAllocator with `force_serial`, which never touches a
-/// FleetState) bit-for-bit — identical placements, scores, outcomes, and
+/// (testing/reference_pa.hpp, which never touches a FleetState)
+/// bit-for-bit — identical placements, scores, outcomes, and
 /// search effort — both on drift-free snapshots and under sustained churn
 /// (commits, releases, crashes, repairs) where the reference is re-pointed
 /// at the fleet's own up-server view each round. The churn suite
@@ -16,6 +16,7 @@
 
 #include "core/incremental.hpp"
 #include "core/proactive.hpp"
+#include "testing/reference_pa.hpp"
 #include "testing/shared_db.hpp"
 #include "util/rng.hpp"
 
@@ -26,14 +27,6 @@ using workload::ClassCounts;
 using workload::ProfileClass;
 
 const modeldb::ModelDatabase& db() { return testing::shared_db(); }
-
-/// The independent side of every comparison: the default allocator plans
-/// through a cached FleetState itself, so parity is proven against the
-/// per-call reference scorer instead.
-ProactiveConfig reference(ProactiveConfig config) {
-  config.force_serial = true;
-  return config;
-}
 
 std::vector<VmRequest> random_request(util::Rng& rng, int max_vms = 5) {
   const int vm_count = static_cast<int>(rng.uniform_int(1, max_vms));
@@ -115,7 +108,7 @@ TEST_P(IncrementalParity, DriftFreeSnapshotsPlaceIdentically) {
 
     FleetState fleet(db(), config);
     fleet.reset(servers);
-    const ProactiveAllocator batch(db(), reference(config));
+    const testing::ReferenceProactiveAllocator batch(db(), config);
     expect_identical(fleet.plan(vms), batch.allocate(vms, servers));
   }
 }
@@ -132,7 +125,7 @@ TEST_P(IncrementalParity, ChurnKeepsParityAndEnergyWithinBound) {
     init.push_back(ServerState{s, ClassCounts{}, false});
   }
   fleet.reset(init);
-  const ProactiveAllocator batch(db(), reference(config));
+  const testing::ReferenceProactiveAllocator batch(db(), config);
 
   // Independent mirror of what should be committed, keyed by server id —
   // validates the delta bookkeeping, not just plan().

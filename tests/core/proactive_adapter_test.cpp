@@ -1,15 +1,15 @@
 /// Differential test of ProactiveAllocator's incremental path: over 30
 /// seeds, random sequences of server spans run through the default
 /// allocator (which caches a FleetState and syncs it to each span) and the
-/// plain reference scorer (`force_serial`), and every AllocationResult
-/// must match bit for bit. The sequences mix everything a caller can do to
-/// a span between two calls: commits and releases, crashes (the server
-/// vanishes), repairs (it returns cold and empty), ToR-style isolations
-/// (it vanishes with its residents and returns with them), a server that
-/// returns powered but empty, a reordered span, a foreign fleet of another
-/// size, alternation with a second fleet, and the changes only a rebuild
-/// can mirror (a hardware class that changes, a server powered off in
-/// place). The fleets mix two hardware classes. The `pa.fleet.resyncs`
+/// plain reference scorer (testing/reference_pa.hpp), and every
+/// AllocationResult must match bit for bit. The sequences mix everything a
+/// caller can do to a span between two calls: commits and releases,
+/// crashes (the server vanishes), repairs (it returns cold and empty),
+/// ToR-style isolations (it vanishes with its residents and returns with
+/// them), a server that returns powered but empty, a reordered span, a
+/// foreign fleet of another size, alternation with a second fleet, and
+/// the changes only a rebuild can mirror (a hardware class that changes,
+/// a server powered off in place). The fleets mix two hardware classes. The `pa.fleet.resyncs`
 /// counter proves that pure delta churn never rebuilds the cached fleet.
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "core/proactive.hpp"
 #include "obs/session.hpp"
+#include "testing/reference_pa.hpp"
 #include "testing/shared_db.hpp"
 #include "util/rng.hpp"
 
@@ -185,7 +186,7 @@ class Harness {
   explicit Harness(const ProactiveConfig& config)
       : session_(obs_session()),
         adapter_(two_classes(), with_obs(config, session_)),
-        reference_(two_classes(), reference_config(config)) {}
+        reference_(two_classes(), config) {}
 
   void call(Fleet& fleet, const std::vector<ServerState>& span,
             util::Rng& rng, std::uint64_t seed, int step) {
@@ -220,15 +221,11 @@ class Harness {
     config.obs = std::move(session);
     return config;
   }
-  static ProactiveConfig reference_config(ProactiveConfig config) {
-    config.force_serial = true;
-    return config;
-  }
 
   std::shared_ptr<obs::Session> session_;
   std::uint64_t calls_ = 0;
   ProactiveAllocator adapter_;
-  ProactiveAllocator reference_;
+  testing::ReferenceProactiveAllocator reference_;
 };
 
 /// Releases one random resident VM of a live server (an isolated
@@ -384,16 +381,18 @@ TEST_P(ProactiveAdapter, MatchesReferenceAcrossSpanSequences) {
 }
 
 TEST(ProactiveAdapterObs, FlushesTheSameSearchCountersAsTheBatchPath) {
-  // Same calls through the incremental path and through the batch search
-  // (two workers never take the incremental path): calls, candidates and
-  // outcomes must agree; the tallies cover every examined candidate.
+  // Same calls through the incremental path and through the batch search:
+  // calls, candidates and outcomes must agree; the tallies cover every
+  // examined candidate. The batch allocator sees the same servers in the
+  // same order with neighbouring ids swapped (0↔1, 2↔3, …): its span is
+  // not id-ascending, so it never syncs a cached fleet, while ties still
+  // break to the same span positions — the same decisions, relabelled.
   util::Rng rng(4711);
   ProactiveConfig incremental;
   incremental.alpha = 1.0;
   incremental.degrade_to_first_fit = true;
   incremental.obs = obs_session();
   ProactiveConfig batch = incremental;
-  batch.search_threads = 2;
   batch.obs = obs_session();
   const ProactiveAllocator inc(two_classes(), incremental);
   const ProactiveAllocator bat(two_classes(), batch);
@@ -401,8 +400,15 @@ TEST(ProactiveAdapterObs, FlushesTheSameSearchCountersAsTheBatchPath) {
   for (int i = 0; i < 80; ++i) {
     const std::vector<VmRequest> vms = random_request(rng);
     const std::vector<ServerState> span = fleet.span();
+    std::vector<ServerState> swapped = span;
+    for (ServerState& server : swapped) {
+      server.id ^= 1;
+    }
     const AllocationResult a = inc.allocate(vms, span);
-    const AllocationResult b = bat.allocate(vms, span);
+    AllocationResult b = bat.allocate(vms, swapped);
+    for (Placement& p : b.placements) {
+      p.server_id ^= 1;
+    }
     expect_identical(a, b, 4711, i);
     if (a.complete) {
       for (const Placement& p : a.placements) {
@@ -430,9 +436,11 @@ TEST(ProactiveAdapterObs, FlushesTheSameSearchCountersAsTheBatchPath) {
                 m.counter("pa.search.pruned_infeasible").value());
   EXPECT_GT(m.counter("pa.search.evaluated").value(), 0u);
   EXPECT_EQ(m.counter("pa.fleet.resyncs").value(), 1u);
+  EXPECT_EQ(mb.counter("pa.fleet.resyncs").value(), 0u);
   EXPECT_GT(m.gauge("pa.memo.entries").value(), 0.0);
   EXPECT_GT(m.gauge("pa.memo.hits").value(), 0.0);
-  EXPECT_EQ(m.gauge("pa.search.workers").value(), 1.0);
+  // The score-memo gauges belong to the cached fleet alone.
+  EXPECT_EQ(mb.gauge("pa.memo.entries").value(), 0.0);
 }
 
 TEST(ProactiveAdapterConcurrency, ConcurrentCallersGetReferenceAnswers) {
@@ -444,9 +452,7 @@ TEST(ProactiveAdapterConcurrency, ConcurrentCallersGetReferenceAnswers) {
   config.alpha = 0.5;
   config.degrade_to_first_fit = true;
   const ProactiveAllocator shared(two_classes(), config);
-  ProactiveConfig serial = config;
-  serial.force_serial = true;
-  const ProactiveAllocator reference(two_classes(), serial);
+  const testing::ReferenceProactiveAllocator reference(two_classes(), config);
 
   struct Call {
     std::vector<VmRequest> vms;

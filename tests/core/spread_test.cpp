@@ -15,6 +15,7 @@
 #include "core/first_fit.hpp"
 #include "core/incremental.hpp"
 #include "core/proactive.hpp"
+#include "testing/reference_pa.hpp"
 #include "testing/shared_db.hpp"
 
 namespace aeva::core {
@@ -189,18 +190,16 @@ TEST(SpreadProactive, NonBindingSpreadMatchesSpreadFreeSearch) {
 }
 
 TEST(SpreadProactive, OptimizedPathsMatchSerialReference) {
-  // The spread quota and penalty must not break the serial/optimized
-  // equivalence: grouped, memoized, pruned search vs. the plain scorer.
+  // The spread quota and penalty must not break the reference/optimized
+  // equivalence: grouped, pruned batch search vs. the plain scorer.
   const auto vms = make_request({ProfileClass::kCpu, ProfileClass::kCpu,
                                  ProfileClass::kMem, ProfileClass::kMem,
                                  ProfileClass::kIo});
   ProactiveConfig config;
   config.alpha = 0.5;
   config.spread = paired_domains(6, 2, 2.5);
-  config.force_serial = true;
-  const auto serial =
-      ProactiveAllocator(db(), config).allocate(vms, empty_servers(6));
-  config.force_serial = false;
+  const auto serial = testing::ReferenceProactiveAllocator(db(), config)
+                          .allocate(vms, empty_servers(6));
   const auto optimized =
       ProactiveAllocator(db(), config).allocate(vms, empty_servers(6));
   ASSERT_TRUE(serial.complete);

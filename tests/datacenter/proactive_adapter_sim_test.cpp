@@ -5,7 +5,7 @@
 /// isolations, checkpoint-restart recovery and a snapshot hook. The
 /// default allocator (a cached FleetState synced to the simulator's fleet
 /// view by crash/repair/allocate/deallocate deltas) and the plain reference
-/// scorer (`force_serial`) must produce bit-identical SimMetrics and
+/// scorer (testing/reference_pa.hpp) must produce bit-identical SimMetrics and
 /// bit-identical encoded snapshots. With spread on, the allocator takes the
 /// batch search, so this is the run that exercises the incremental path's
 /// crash and repair sync.
@@ -23,6 +23,7 @@
 #include "datacenter/topology.hpp"
 #include "obs/session.hpp"
 #include "persist/snapshot.hpp"
+#include "testing/reference_pa.hpp"
 #include "testing/shared_db.hpp"
 #include "trace/prepare.hpp"
 #include "util/rng.hpp"
@@ -96,14 +97,13 @@ struct SimRun {
 };
 
 SimRun run_with(const PreparedWorkload& workload, const Topology& topo,
-                std::uint64_t seed, const core::ProactiveConfig& config) {
+                std::uint64_t seed, const core::Allocator& allocator) {
   SimRun run;
   CloudConfig cloud = faulty_cloud(topo, seed);
   cloud.snapshot.every_s = 1500.0;
   cloud.snapshot.hook = [&run](const persist::SimSnapshot& snapshot) {
     run.snapshots.push_back(persist::encode_snapshot(snapshot));
   };
-  const core::ProactiveAllocator allocator(testing::shared_db(), config);
   run.metrics = Simulator(testing::shared_db(), cloud).run(workload, allocator);
   return run;
 }
@@ -149,10 +149,11 @@ TEST_P(ProactiveAdapterSim, FaultyRunMatchesReferenceScorer) {
   obs::ObsConfig obs_on;
   obs_on.enabled = true;
   incremental.obs = obs::Session::create(obs_on);
-  core::ProactiveConfig reference = config;
-  reference.force_serial = true;
+  const core::ProactiveAllocator allocator(testing::shared_db(), incremental);
+  const testing::ReferenceProactiveAllocator reference(testing::shared_db(),
+                                                       config);
 
-  const SimRun got = run_with(workload, topo, seed, incremental);
+  const SimRun got = run_with(workload, topo, seed, allocator);
   const SimRun want = run_with(workload, topo, seed, reference);
 
   // The run must exercise what this test exists for.

@@ -235,90 +235,5 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4, 0, 0), std::make_tuple(3, 3, 0),
                       std::make_tuple(4, 2, 1)));
 
-/// The parallel search depends on the chunked and materialized entry
-/// points reproducing the streaming enumeration exactly — same partitions,
-/// same canonical order, chunk boundaries invisible.
-std::vector<TypedPartition> streamed(ClassCounts total, std::size_t max_blocks,
-                                     std::size_t limit = ~0ULL) {
-  std::vector<TypedPartition> all;
-  (void)for_each_typed_partition(
-      total, [](const ClassCounts&) { return true; }, max_blocks,
-      [&](const TypedPartition& blocks) {
-        all.push_back(blocks);
-        return all.size() < limit;
-      });
-  return all;
-}
-
-TEST(TypedPartitionChunk, ChunksConcatenateToTheStreamedOrder) {
-  const ClassCounts total{3, 2, 1};
-  const std::vector<TypedPartition> expected = streamed(total, 99);
-  for (const std::size_t chunk_size : {1u, 2u, 3u, 7u, 1000u}) {
-    std::vector<TypedPartition> collected;
-    const std::size_t count = for_each_typed_partition_chunk(
-        total, [](const ClassCounts&) { return true; }, 99, chunk_size,
-        [&](std::vector<TypedPartition>&& chunk) {
-          EXPECT_LE(chunk.size(), chunk_size);
-          for (TypedPartition& blocks : chunk) {
-            collected.push_back(std::move(blocks));
-          }
-          return true;
-        });
-    EXPECT_EQ(count, expected.size()) << "chunk size " << chunk_size;
-    EXPECT_EQ(collected, expected) << "chunk size " << chunk_size;
-  }
-}
-
-TEST(TypedPartitionChunk, StopAfterChunkIsHonoured) {
-  std::size_t chunks_seen = 0;
-  const std::size_t count = for_each_typed_partition_chunk(
-      ClassCounts{3, 3, 0}, [](const ClassCounts&) { return true; }, 99, 2,
-      [&](std::vector<TypedPartition>&&) {
-        ++chunks_seen;
-        return chunks_seen < 2;  // stop after the second chunk
-      });
-  EXPECT_EQ(chunks_seen, 2u);
-  EXPECT_EQ(count, 4u);  // two full chunks of two
-}
-
-TEST(TypedPartitionChunk, CollectMatchesStreamedPrefix) {
-  const ClassCounts total{2, 2, 2};
-  const auto all_ok = [](const ClassCounts&) { return true; };
-  const std::vector<TypedPartition> everything =
-      collect_typed_partitions(total, all_ok, 99, 100000);
-  EXPECT_EQ(everything, streamed(total, 99));
-
-  // A limit materializes exactly the first `limit` candidates.
-  const std::vector<TypedPartition> prefix =
-      collect_typed_partitions(total, all_ok, 99, 5);
-  ASSERT_EQ(prefix.size(), 5u);
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    EXPECT_EQ(prefix[i], everything[i]) << "candidate " << i;
-  }
-}
-
-TEST(TypedPartitionChunk, RespectsMaxBlocksAndFilter) {
-  const ClassCounts total{4, 1, 0};
-  const auto pairs_only = [](const ClassCounts& block) {
-    return block.total() <= 2;
-  };
-  std::vector<TypedPartition> collected;
-  (void)for_each_typed_partition_chunk(
-      total, pairs_only, 3, 4, [&](std::vector<TypedPartition>&& chunk) {
-        for (TypedPartition& blocks : chunk) {
-          collected.push_back(std::move(blocks));
-        }
-        return true;
-      });
-  std::vector<TypedPartition> expected;
-  (void)for_each_typed_partition(total, pairs_only, 3,
-                                 [&](const TypedPartition& blocks) {
-                                   expected.push_back(blocks);
-                                   return true;
-                                 });
-  EXPECT_EQ(collected, expected);
-  EXPECT_EQ(collect_typed_partitions(total, pairs_only, 3, 100000), expected);
-}
-
 }  // namespace
 }  // namespace aeva::partition

@@ -36,8 +36,8 @@ Checks
       simulations, breaks sharded determinism, and dodges both snapshot
       capture and the thread-safety annotations. Inject state through
       config/members instead; genuinely safe exceptions (e.g. the
-      EstimateCache's tagged thread-local L1) carry an allowlist entry
-      with the safety argument.
+      first-fit allocator's overwritten thread-local scratch) carry an
+      allowlist entry with the safety argument.
 
   raw-thread
       `std::thread`/`std::jthread` construction, `std::async`,
