@@ -5,15 +5,17 @@
 /// request stream, random releases) three times:
 ///
 ///  1. **Parity pass (untimed).** Every request is planned in lockstep by
-///     core::FleetState (the incremental planner) and by
-///     core::ProactiveAllocator over the same up-server vector (the
-///     per-request exhaustive baseline); every decision's placements,
-///     scores (bitwise), outcome, and search effort must match.
+///     core::FleetState (the incremental planner) and by the plain
+///     per-server reference scorer over the same up-server vector
+///     (testing::ReferenceProactiveAllocator, tests/testing/reference_pa.hpp
+///     — the exhaustive baseline: it rescans every server for every block
+///     of every candidate); every decision's placements, scores (bitwise),
+///     outcome, and search effort must match.
 ///  2. **Incremental timing passes.** The identical replay, planned by
 ///     the incremental planner alone; each plan() call is wall-clock
 ///     timed.
 ///  3. **Exhaustive timing passes.** The identical replay again, planned
-///     by the batch allocator alone over the equivalent server vector.
+///     by the reference scorer alone over the equivalent server vector.
 ///
 /// Each timing pass runs three times and the reported percentiles are
 /// the per-pass minima: scheduler and cache noise from a shared host only
@@ -61,6 +63,7 @@
 
 #include "bench/harness_common.hpp"
 #include "core/incremental.hpp"
+#include "testing/reference_pa.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -120,8 +123,8 @@ struct ReplayResult {
   std::uint64_t placed = 0;
   double energy = 0.0;    ///< accumulated planned energy (timed planner)
   double makespan = 0.0;  ///< accumulated estimated makespan
-  double batch_energy = 0.0;    ///< parity pass only: exhaustive side
-  double batch_makespan = 0.0;  ///< parity pass only
+  double reference_energy = 0.0;    ///< parity pass only: exhaustive side
+  double reference_makespan = 0.0;  ///< parity pass only
   std::vector<double> us;       ///< post-warmup latencies (timing passes)
   core::FleetStats stats;       ///< incremental planner counters
 };
@@ -140,9 +143,9 @@ ReplayResult run_replay(Pass pass, std::size_t decisions, int servers,
     fleet.emplace(db, config);
     fleet->reset(ground);
   }
-  std::optional<core::ProactiveAllocator> batch;
+  std::optional<testing::ReferenceProactiveAllocator> reference;
   if (pass != Pass::kIncremental) {
-    batch.emplace(db, config);
+    reference.emplace(db, config);
   }
 
   util::Rng rng(2026);
@@ -171,20 +174,20 @@ ReplayResult run_replay(Pass pass, std::size_t decisions, int servers,
     switch (pass) {
       case Pass::kParity: {
         chosen = fleet->plan(vms);
-        const core::AllocationResult bat =
-            batch->allocate(vms, fleet->up_servers());
-        if (!results_equal(chosen, bat)) {
+        const core::AllocationResult want =
+            reference->allocate(vms, fleet->up_servers());
+        if (!results_equal(chosen, want)) {
           std::cerr << "FAIL: decision " << d
                     << " diverges from the exhaustive baseline (incremental "
                     << (chosen.complete ? "placed" : "rejected")
                     << ", exhaustive "
-                    << (bat.complete ? "placed" : "rejected") << ")\n";
+                    << (want.complete ? "placed" : "rejected") << ")\n";
           out.ok = false;
           return out;
         }
         if (chosen.complete) {
-          out.batch_energy += bat.score.est_energy_j;
-          out.batch_makespan += bat.score.est_time_s;
+          out.reference_energy += want.score.est_energy_j;
+          out.reference_makespan += want.score.est_time_s;
         }
         break;
       }
@@ -200,7 +203,7 @@ ReplayResult run_replay(Pass pass, std::size_t decisions, int servers,
       }
       case Pass::kExhaustive: {
         const auto t0 = clock::now();
-        chosen = batch->allocate(vms, ground);
+        chosen = reference->allocate(vms, ground);
         const auto t1 = clock::now();
         if (d >= warmup) {
           out.us.push_back(
@@ -301,35 +304,36 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (ok &&
-      relative_delta(parity.energy, parity.batch_energy) > kParityTolerance) {
+      relative_delta(parity.energy, parity.reference_energy) >
+          kParityTolerance) {
     std::cerr << "FAIL: accumulated planned energy diverged ("
-              << parity.energy << " J incremental vs " << parity.batch_energy
-              << " J exhaustive)\n";
+              << parity.energy << " J incremental vs "
+              << parity.reference_energy << " J exhaustive)\n";
     ok = false;
   }
-  if (ok && relative_delta(parity.makespan, parity.batch_makespan) >
+  if (ok && relative_delta(parity.makespan, parity.reference_makespan) >
                 kParityTolerance) {
     std::cerr << "FAIL: accumulated estimated makespan diverged ("
               << parity.makespan << " s incremental vs "
-              << parity.batch_makespan << " s exhaustive)\n";
+              << parity.reference_makespan << " s exhaustive)\n";
     ok = false;
   }
 
   double inc_p50 = 0.0;
   double inc_p99 = 0.0;
-  double batch_p50 = 0.0;
-  double batch_p99 = 0.0;
+  double ref_p50 = 0.0;
+  double ref_p99 = 0.0;
   core::FleetStats inc_stats;
   if (ok) {
     for (int rep = 0; rep < kTimingRepeats && ok; ++rep) {
       const ReplayResult inc = run_replay(Pass::kIncremental, decisions,
                                           servers, warmup, db, config);
-      const ReplayResult bat = run_replay(Pass::kExhaustive, decisions,
+      const ReplayResult ref = run_replay(Pass::kExhaustive, decisions,
                                           servers, warmup, db, config);
       // Replay determinism: every timing pass must place the exact
       // decisions the parity pass gated, or its latencies measured a
       // different workload.
-      for (const ReplayResult* pass : {&inc, &bat}) {
+      for (const ReplayResult* pass : {&inc, &ref}) {
         if (pass->placed != parity.placed ||
             relative_delta(pass->energy, parity.energy) > kParityTolerance) {
           std::cerr << "FAIL: a timing pass diverged from the parity replay ("
@@ -343,20 +347,20 @@ int main(int argc, char** argv) {
       };
       fold_min(inc_p50, percentile_us(inc.us, 0.50));
       fold_min(inc_p99, percentile_us(inc.us, 0.99));
-      fold_min(batch_p50, percentile_us(bat.us, 0.50));
-      fold_min(batch_p99, percentile_us(bat.us, 0.99));
+      fold_min(ref_p50, percentile_us(ref.us, 0.50));
+      fold_min(ref_p99, percentile_us(ref.us, 0.99));
       inc_stats = inc.stats;
     }
   }
-  const double speedup_p50 = inc_p50 > 0.0 ? batch_p50 / inc_p50 : 0.0;
-  const double speedup_p99 = inc_p99 > 0.0 ? batch_p99 / inc_p99 : 0.0;
+  const double speedup_p50 = inc_p50 > 0.0 ? ref_p50 / inc_p50 : 0.0;
+  const double speedup_p99 = inc_p99 > 0.0 ? ref_p99 / inc_p99 : 0.0;
 
   std::cout << "  incremental : p50 " << util::format_fixed(inc_p50, 1)
             << " us, p99 " << util::format_fixed(inc_p99, 1) << " us ("
             << inc_stats.groups << " groups, " << inc_stats.memo_entries
             << " memo entries)\n"
-            << "  exhaustive  : p50 " << util::format_fixed(batch_p50, 1)
-            << " us, p99 " << util::format_fixed(batch_p99, 1) << " us\n"
+            << "  exhaustive  : p50 " << util::format_fixed(ref_p50, 1)
+            << " us, p99 " << util::format_fixed(ref_p99, 1) << " us\n"
             << "  speedup     : p50 " << util::format_fixed(speedup_p50, 1)
             << "x, p99 " << util::format_fixed(speedup_p99, 1) << "x ("
             << parity.placed << "/" << decisions << " placed)\n";
@@ -379,18 +383,18 @@ int main(int argc, char** argv) {
   json += ",\"placed\":" + std::to_string(parity.placed);
   json += ",\"incremental_p50_us\":" + util::format_fixed(inc_p50, 3);
   json += ",\"incremental_p99_us\":" + util::format_fixed(inc_p99, 3);
-  json += ",\"exhaustive_p50_us\":" + util::format_fixed(batch_p50, 3);
-  json += ",\"exhaustive_p99_us\":" + util::format_fixed(batch_p99, 3);
+  json += ",\"exhaustive_p50_us\":" + util::format_fixed(ref_p50, 3);
+  json += ",\"exhaustive_p99_us\":" + util::format_fixed(ref_p99, 3);
   json += ",\"speedup_p50\":" + util::format_fixed(speedup_p50, 3);
   json += ",\"speedup_p99\":" + util::format_fixed(speedup_p99, 3);
   json += ",\"groups\":" + std::to_string(inc_stats.groups);
   json += ",\"memo_entries\":" + std::to_string(inc_stats.memo_entries);
   json += ",\"energy_delta_rel\":" +
-          util::format_fixed(relative_delta(parity.energy, parity.batch_energy),
-                             12);
+          util::format_fixed(
+              relative_delta(parity.energy, parity.reference_energy), 12);
   json += ",\"makespan_delta_rel\":" +
           util::format_fixed(
-              relative_delta(parity.makespan, parity.batch_makespan), 12);
+              relative_delta(parity.makespan, parity.reference_makespan), 12);
   json += ",\"pass\":";
   json += ok ? "true" : "false";
   json += "}";

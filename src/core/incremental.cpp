@@ -40,20 +40,18 @@ void stable_insertion_sort(std::vector<T>& items, Less less) {
   }
 }
 
-/// One placed block of a candidate under evaluation. Mirrors the batch
-/// search's PlacedBlock (proactive.cpp) except the server is identified by
-/// id — the serve fleet's ids are exactly the batch up-vector's positions
-/// in order, so id comparisons reproduce the index tie-breaks.
+/// One placed block of a candidate under evaluation.
 struct PlacedBlock {
   ClassCounts block;
-  int server_id = 0;
-  std::size_t group_ordinal = 0;  ///< per-plan group-snapshot index
+  std::uint32_t server_pos = 0;     ///< the chosen server's nodes_ position
+  std::uint32_t group_ordinal = 0;  ///< slot ordinal of the chosen group
+  std::int32_t domain = -1;         ///< the group's failure domain
   double time_per_class[workload::kProfileClassCount] = {0.0, 0.0, 0.0};
   double marginal_energy_j = 0.0;
   double contribution = 0.0;  ///< exact α-rank term (bound arithmetic)
 };
 
-/// Scalar outcome of one candidate evaluation (mirror of EvalOutcome).
+/// Scalar outcome of one candidate evaluation.
 struct EvalOutcome {
   double est_time_s = 0.0;
   double est_energy_j = 0.0;
@@ -86,9 +84,9 @@ struct Incumbent {
   }
 };
 
-/// Running optima with the batch search's deterministic tie-break:
-/// strictly smaller rank wins; equal ranks keep the earlier candidate in
-/// canonical enumeration order.
+/// Running optima with a deterministic tie-break: strictly smaller rank
+/// wins; equal ranks keep the earlier candidate in canonical enumeration
+/// order.
 struct SearchBest {
   Incumbent any;
   Incumbent qos;
@@ -118,12 +116,12 @@ struct SearchBest {
 
 }  // namespace
 
-/// Per-plan() search state: the request context, a positional snapshot of
-/// the live groups, and the prefix-incremental evaluation stack. Every
-/// double below is produced by the same expressions as proactive.cpp's
-/// SearchContext/IncrementalEvaluator, so candidate ranks — and hence the
-/// chosen placement — are bitwise identical to the batch search over
-/// up_servers().
+/// Per-plan() search state: the request context, the cross-plan shape
+/// evaluations over the group universe, and the prefix-incremental
+/// evaluation stack. Every double below is produced by the expressions
+/// of the plain per-server scorer (tests/testing/reference_pa.cpp), in
+/// the same order, so candidate ranks — and hence the chosen placement —
+/// are bitwise identical to it over up_servers().
 ///
 /// One Planner lives in FleetState::scratch_ for the fleet's lifetime:
 /// begin_plan() clears every buffer but keeps its capacity, so a warm
@@ -134,7 +132,7 @@ struct FleetState::Planner {
   FleetState* fleet = nullptr;
   const ProactiveConfig* config = nullptr;
 
-  // --- request context (mirrors SearchContext) ----------------------------
+  // --- request context -----------------------------------------------------
   double n_vms = 0.0;
   double time_ref = 0.0;
   double energy_ref = 0.0;
@@ -148,22 +146,27 @@ struct FleetState::Planner {
   /// true for every entry and the fold can skip it entirely.
   bool qos_vacuous = false;
   bool prune = false;
+  /// The fleet's spread constraint; null when it is off.
+  const SpreadConfig* spread = nullptr;
+  /// This request's VMs per failure domain (spread only): zeroed per
+  /// plan, capacity kept.
+  std::vector<int> domain_used;
 
   // --- group universe (fleet->slot_order_, stable ordinals) ---------------
   /// Members a candidate has consumed per group ordinal. Every greedy
-  /// pick takes the smallest unused id of its group, so consumed members
-  /// are always a prefix of the ascending member set — the next free
-  /// member is the used_count-th smallest. uint32 keeps the whole
+  /// pick takes the earliest unused member of its group, so consumed
+  /// members are always a prefix of the ascending member set — the next
+  /// free member is the used_count-th earliest. uint32 keeps the whole
   /// universe's availability state within a few cache lines.
   std::vector<std::uint32_t> used_count;
 
   // --- cross-plan shape evaluations ---------------------------------------
-  /// Request-dependent view over a memo entry: the same derived doubles
-  /// the batch IncrementalEvaluator computes per (shape, group). Every
-  /// input (memo entry, n_vms, time_ref, energy_ref) is a pure function
-  /// of the request's class counts and the database, so the entry is
-  /// valid for every plan of the same counts — only the per-request QoS
-  /// deadlines vary, and those are checked per plan (qos_pass).
+  /// Request-dependent view over a memo entry: the derived doubles of one
+  /// (shape, group) pair. Every input (memo entry, n_vms, time_ref,
+  /// energy_ref) is a pure function of the request's class counts and the
+  /// database, so the entry is valid for every plan of the same counts —
+  /// only the per-request QoS deadlines vary, and those are checked per
+  /// plan (qos_pass).
   struct CachedEval {
     bool feasible = false;
     double sel_rank = 0.0;
@@ -171,22 +174,21 @@ struct FleetState::Planner {
     double marginal_energy_j = 0.0;
     double time_per_class[workload::kProfileClassCount] = {0.0, 0.0, 0.0};
   };
-  /// One block shape's evaluations over the group universe, indexed by
-  /// the stable slot ordinal. Cells are computed lazily — only for groups
-  /// that are *live* when the shape is used, so universe growth from
-  /// transient mixes costs nothing — and are never invalidated:
-  /// membership churn, drains, and revivals change nothing a cached
-  /// double depends on.
+  /// One block shape's evaluations over the mix universe, indexed by the
+  /// stable mix ordinal (groups that differ only in failure domain share
+  /// a cell). Cells are computed lazily — only for mixes of groups that
+  /// are *live* when the shape is used, so universe growth from transient
+  /// mixes costs nothing — and are never invalidated: membership churn,
+  /// drains, and revivals change nothing a cached double depends on.
   struct CachedShape {
     std::uint64_t key = 0;  ///< packed shape, for lazy memo lookups
     ClassCounts block;      ///< the shape itself
     /// Cheapest feasible contribution over every *computed* cell. Live
     /// groups are always covered before use (ready()), so this is a
-    /// lower bound on the live-group fold the batch search prunes with —
-    /// pruning against it can only be (harmlessly) more conservative;
-    /// pruning never changes results or the partitions-examined count.
+    /// lower bound on the live-group fold; pruning against it never
+    /// changes results or the partitions-examined count.
     double min_contrib = kInf;
-    std::vector<CachedEval> evals;  ///< by slot ordinal
+    std::vector<CachedEval> evals;  ///< by mix ordinal
     /// The candidate fold's working set, packed: one entry per feasible
     /// group of the *live set as of the last coverage sweep* — a few
     /// contiguous cache lines instead of ordinal-indexed scatter, so the
@@ -198,9 +200,10 @@ struct FleetState::Planner {
       double rank = 0.0;  ///< selection_rank (finite: feasible only)
       double time_per_class[workload::kProfileClassCount] = {0.0, 0.0, 0.0};
       std::uint32_t g = 0;  ///< slot ordinal
+      std::int32_t domain = -1;  ///< the group's failure domain
     };
     std::vector<FoldEntry> fold;
-    /// Dense in-fold flags parallel to evals: the coverage sweep appends
+    /// Dense in-fold flags by slot ordinal: the coverage sweep appends
     /// only groups not yet folded, so a stamp bump costs O(live) byte
     /// probes, not a rebuild. The fold therefore covers the *ever-live*
     /// set; it is compacted back to the current live set whenever it
@@ -249,7 +252,7 @@ struct FleetState::Planner {
   std::vector<const VmRequest*> class_vms;
   struct MapSlot {
     double time = 0.0;
-    int server_id = 0;
+    std::uint32_t server_pos = 0;
   };
   std::vector<MapSlot> map_slots;
 
@@ -260,14 +263,18 @@ struct FleetState::Planner {
     for (auto& list : deadlines) {
       list.clear();
     }
+    spread = config->spread.enabled ? &config->spread : nullptr;
+    if (spread != nullptr) {
+      domain_used.assign(static_cast<std::size_t>(spread->domain_count), 0);
+    }
     used_count.assign(owner.slot_order_.size(), 0);
     placed.clear();
     bound_after.clear();
     best.reset();
   }
 
-  /// place_block's server-ordering rank — the exact expression of
-  /// SearchContext::selection_rank.
+  /// The per-VM rank the greedy placement orders servers by (energy vs
+  /// normalized mean block time).
   [[nodiscard]] double selection_rank(const MemoEntry& entry,
                                       double time_contrib,
                                       const ClassCounts& block) const {
@@ -280,23 +287,43 @@ struct FleetState::Planner {
                      (1.0 - config->alpha) * time_norm;
   }
 
-  /// The block's exact contribution to the final α-rank — the exact
-  /// expression of SearchContext::rank_contribution (the entry's
-  /// block_time was summed in the same class order at fill time).
+  /// The block's exact contribution to the final α-rank (the rank is the
+  /// sum of these over all blocks, so partial sums are lower bounds
+  /// whenever every term is ≥ 0).
   [[nodiscard]] double rank_contribution(const MemoEntry& entry) const {
     return config->alpha * entry.marginal_energy_j / (n_vms * energy_ref) +
            (1.0 - config->alpha) * entry.block_time / (n_vms * time_ref);
   }
 
-  /// Derives one (shape, group) cell from the persistent score memo. Each
+  /// Marginal blast penalty of landing a `block_total`-VM block in
+  /// `domain` given the request's VMs already there: blast_penalty ×
+  /// ((n_d + b)² − n_d²) / n². The marginals telescope to finalize()'s
+  /// Herfindahl term, so steering the greedy server choice by them keeps
+  /// the per-server ordering consistent with the candidate score. Only
+  /// called with `spread` armed; an unmapped server is its own singleton
+  /// domain (n_d = 0 — a server hosts at most one block per candidate).
+  [[nodiscard]] double blast_marginal(int domain, int block_total) const {
+    if (spread->blast_penalty <= 0.0) {
+      return 0.0;
+    }
+    const double prior =
+        domain >= 0
+            ? static_cast<double>(domain_used[static_cast<std::size_t>(domain)])
+            : 0.0;
+    const double b = static_cast<double>(block_total);
+    return spread->blast_penalty * (2.0 * prior * b + b * b) /
+           (n_vms * n_vms);
+  }
+
+  /// Derives one (shape, mix) cell from the persistent score memo. Each
   /// cell is computed exactly once over the fleet's lifetime; every later
   /// plan replays the cached doubles bit-for-bit.
-  void compute_cell(CachedShape& cs, std::size_t g) {
-    CachedEval& eval = cs.evals[g];
-    cs.done[g] = 1;
+  void compute_cell(CachedShape& cs, std::uint32_t m) {
+    CachedEval& eval = cs.evals[m];
+    cs.done[m] = 1;
     const MemoEntry& entry =
-        fleet->memo_entry(*fleet->slot_order_[g].first,
-                          *fleet->slot_order_[g].second, cs.key, cs.block);
+        fleet->memo_entry(*fleet->mix_order_[m].first,
+                          *fleet->mix_order_[m].second, cs.key, cs.block);
     if (entry.feasible) {
       eval.feasible = true;
       for (std::size_t ci = 0; ci < workload::kProfileClassCount; ++ci) {
@@ -314,24 +341,25 @@ struct FleetState::Planner {
   /// coverage sweep — only after a group (re)gains its first member.
   [[nodiscard]] CachedShape& ready(CachedShape& cs) {
     if (cs.live_stamp != fleet->live_grow_stamp_) {
-      const std::size_t universe = fleet->slot_order_.size();
-      if (cs.evals.size() < universe) {
-        cs.evals.resize(universe);
-        cs.done.resize(universe, 0);
-        cs.folded.resize(universe, 0);
+      const std::size_t mixes = fleet->mix_order_.size();
+      if (cs.evals.size() < mixes) {
+        cs.evals.resize(mixes);
+        cs.done.resize(mixes, 0);
       }
+      cs.folded.resize(fleet->slot_order_.size(), 0);
       if (cs.fold.size() > 2 * fleet->live_order_.size() + 8) {
         cs.fold.clear();
         std::fill(cs.folded.begin(), cs.folded.end(), std::uint8_t{0});
       }
       for (const std::uint32_t g : fleet->live_order_) {
-        if (!cs.done[g]) {
-          compute_cell(cs, g);
+        const std::uint32_t m = fleet->slot_mix_[g];
+        if (!cs.done[m]) {
+          compute_cell(cs, m);
         }
         if (cs.folded[g]) {
           continue;
         }
-        const CachedEval& eval = cs.evals[g];
+        const CachedEval& eval = cs.evals[m];
         if (eval.feasible) {
           cs.folded[g] = 1;
           CachedShape::FoldEntry entry;
@@ -340,6 +368,7 @@ struct FleetState::Planner {
             entry.time_per_class[ci] = eval.time_per_class[ci];
           }
           entry.g = g;
+          entry.domain = fleet->slot_order_[g].first->domain;
           cs.fold.push_back(entry);
         }
       }
@@ -414,8 +443,8 @@ struct FleetState::Planner {
     return list;
   }
 
-  /// Per-plan QoS pre-check over a cached evaluation — the exact
-  /// class-threshold comparison placed_on performs, recomputed each plan
+  /// Per-plan QoS pre-check over a cached evaluation: every affected
+  /// class's estimate against its tightest deadline, recomputed each plan
   /// because deadlines vary per request even when the counts recur.
   [[nodiscard]] bool qos_pass(const CachedShape::FoldEntry& eval,
                               const ClassCounts& block) const {
@@ -429,103 +458,118 @@ struct FleetState::Planner {
     return true;
   }
 
-  /// Greedy server choice for one block: the winning (qos desc, sel_rank
-  /// asc) group, ties to the smallest unused member id — exactly the
-  /// server the batch index-order scan keeps (ids ascend with up-vector
-  /// positions). An order-independent min-fold over the live groups, so
-  /// the live list's arbitrary order is irrelevant, and |live| ≪
-  /// |universe| keeps the scan a handful of cache lines.
+  /// Running (rank asc, position asc) minimum of the greedy fold. The
+  /// tie-break position is fetched lazily — on an exact rank tie and once
+  /// for the winner — because reading it may chase into the slot's member
+  /// list.
+  struct Pick {
+    static constexpr std::uint32_t kUnfetched = ~std::uint32_t{0};
+    const CachedShape::FoldEntry* entry = nullptr;
+    double rank = 0.0;
+    std::uint32_t pos = kUnfetched;
+  };
+
+  /// Tie-break position of group `g`'s earliest member not yet consumed
+  /// by the candidate under evaluation.
+  [[nodiscard]] std::uint32_t next_member(std::uint32_t g) const {
+    const std::uint32_t used = used_count[g];
+    return used == 0 ? fleet->head_pos_[g]
+                     : fleet->slot_order_[g].second->members[used];
+  }
+
+  void offer(Pick& pick, const CachedShape::FoldEntry& entry,
+             double rank) const {
+    if (pick.entry == nullptr || rank < pick.rank) {
+      pick = Pick{&entry, rank, Pick::kUnfetched};
+    } else if (rank == pick.rank) {
+      if (pick.pos == Pick::kUnfetched) {
+        pick.pos = next_member(pick.entry->g);
+      }
+      const std::uint32_t pos = next_member(entry.g);
+      if (pos < pick.pos) {
+        pick = Pick{&entry, rank, pos};
+      }
+    }
+  }
+
+  /// One pass of place_grouped() over the shape's packed fold: `win`
+  /// collects the best QoS-passing group (every group passes when
+  /// `kVacuous`), `fallback` the best of all of them.
+  template <bool kSpread, bool kVacuous>
+  void fold(const CachedShape& cs, const ClassCounts& block, Pick& win,
+            Pick& fallback) const {
+    const std::uint32_t* capacity = fleet->member_count_.data();
+    const std::uint32_t* used = used_count.data();
+    const int total = block.total();
+    for (const CachedShape::FoldEntry& entry : cs.fold) {
+      const std::uint32_t g = entry.g;
+      if (used[g] >= capacity[g]) {
+        continue;  // drained since the sweep, or consumed by this candidate
+      }
+      double rank = entry.rank;
+      if constexpr (kSpread) {
+        // The group key holds the domain, so one check masks every member.
+        if (entry.domain >= 0 &&
+            domain_used[static_cast<std::size_t>(entry.domain)] + total >
+                spread->max_vms_per_domain) {
+          continue;
+        }
+        // The cached rank is tally-free; the marginal depends on the
+        // running per-domain tally, so it is added here.
+        rank = entry.rank + blast_marginal(entry.domain, total);
+      }
+      if constexpr (kVacuous) {
+        offer(win, entry, rank);
+      } else {
+        offer(fallback, entry, rank);
+        if (qos_pass(entry, block)) {
+          offer(win, entry, rank);
+        }
+      }
+    }
+  }
+
+  /// Greedy server choice for one block given the servers the candidate
+  /// already took and its running per-domain VM tally: the winning (qos
+  /// desc, rank asc) group, ties to the earliest unused member — exactly
+  /// the server a plain scan of the span keeps (ties → first server of
+  /// the list, as in the paper). Servers whose estimates respect every
+  /// affected class's tightest deadline are preferred; QoS-violating
+  /// options win only when no server passes (the candidate then fails the
+  /// final QoS check and can only be selected via the relaxed path). A
+  /// group whose domain would exceed the spread cap is skipped, and the
+  /// blast marginal joins the rank. An order-independent min-fold over the
+  /// live groups, so the live list's arbitrary order is irrelevant, and
+  /// |live| ≪ |universe| keeps the scan a handful of cache lines.
   [[nodiscard]] std::optional<PlacedBlock> place_grouped(
       CachedShape& shape, const ClassCounts& block) {
     const CachedShape& cs = ready(shape);
-    const std::uint32_t* capacity = fleet->member_count_.data();
-    const std::uint32_t* used = used_count.data();
-    // The tie-break id is fetched lazily — on an exact rank tie and once
-    // for the winner — and needs the map node only when the candidate
-    // already consumed members of the group, which a 1–4 VM request
-    // almost never does.
-    const auto id_of = [&](std::uint32_t g) {
-      return used[g] == 0 ? fleet->head_id_[g]
-                          : fleet->slot_order_[g].second->members[used[g]];
-    };
-    const CachedShape::FoldEntry* win = nullptr;
-    int win_id = -1;  ///< -1 = not fetched yet
-    if (qos_vacuous) {
-      // Every group passes QoS vacuously, so the winner is the plain
-      // (sel_rank asc, id asc) minimum over the packed entries.
-      for (const CachedShape::FoldEntry& entry : cs.fold) {
-        const std::uint32_t g = entry.g;
-        if (used[g] >= capacity[g]) {
-          continue;  // drained since the sweep, or consumed by this candidate
-        }
-        if (win == nullptr || entry.rank < win->rank) {
-          win = &entry;
-          win_id = -1;
-        } else if (entry.rank == win->rank) {
-          if (win_id < 0) {
-            win_id = id_of(win->g);
-          }
-          const int id = id_of(g);
-          if (id < win_id) {
-            win = &entry;
-            win_id = id;
-          }
-        }
-      }
+    Pick win;
+    Pick fallback;  ///< best over every group, QoS or not
+    // The loop-invariant modes are template arguments, so the common
+    // spread-off fold carries no per-group test for them.
+    if (spread != nullptr) {
+      qos_vacuous ? fold<true, true>(cs, block, win, fallback)
+                  : fold<true, false>(cs, block, win, fallback);
     } else {
-      const CachedShape::FoldEntry* fallback = nullptr;
-      int fallback_id = -1;
-      for (const CachedShape::FoldEntry& entry : cs.fold) {
-        const std::uint32_t g = entry.g;
-        if (used[g] >= capacity[g]) {
-          continue;  // drained since the sweep, or consumed by this candidate
-        }
-        if (fallback == nullptr || entry.rank < fallback->rank) {
-          fallback = &entry;
-          fallback_id = -1;
-        } else if (entry.rank == fallback->rank) {
-          if (fallback_id < 0) {
-            fallback_id = id_of(fallback->g);
-          }
-          const int id = id_of(g);
-          if (id < fallback_id) {
-            fallback = &entry;
-            fallback_id = id;
-          }
-        }
-        if (!qos_pass(entry, block)) {
-          continue;
-        }
-        if (win == nullptr || entry.rank < win->rank) {
-          win = &entry;
-          win_id = -1;
-        } else if (entry.rank == win->rank) {
-          if (win_id < 0) {
-            win_id = id_of(win->g);
-          }
-          const int id = id_of(g);
-          if (id < win_id) {
-            win = &entry;
-            win_id = id;
-          }
-        }
-      }
-      if (win == nullptr && fallback != nullptr) {
-        win = fallback;
-        win_id = fallback_id;
-      }
+      qos_vacuous ? fold<false, true>(cs, block, win, fallback)
+                  : fold<false, false>(cs, block, win, fallback);
     }
-    if (win == nullptr) {
+    if (win.entry == nullptr) {
+      win = fallback;
+    }
+    if (win.entry == nullptr) {
       return std::nullopt;
     }
-    if (win_id < 0) {
-      win_id = id_of(win->g);
+    if (win.pos == Pick::kUnfetched) {
+      win.pos = next_member(win.entry->g);
     }
-    const CachedEval& eval = cs.evals[win->g];
+    const CachedEval& eval = cs.evals[fleet->slot_mix_[win.entry->g]];
     PlacedBlock out;
     out.block = block;
-    out.server_id = win_id;
-    out.group_ordinal = win->g;
+    out.server_pos = win.pos;
+    out.group_ordinal = win.entry->g;
+    out.domain = win.entry->domain;
     for (std::size_t ci = 0; ci < workload::kProfileClassCount; ++ci) {
       out.time_per_class[ci] = eval.time_per_class[ci];
     }
@@ -534,10 +578,7 @@ struct FleetState::Planner {
     return out;
   }
 
-
-  /// Aggregate rank and QoS feasibility — the exact arithmetic of
-  /// SearchContext::finalize (same summation order, same sort-based
-  /// k-th-smallest QoS matching).
+  /// Aggregate rank and QoS feasibility of the placed candidate.
   [[nodiscard]] EvalOutcome finalize() {
     EvalOutcome out;
     double time_sum = 0.0;
@@ -559,6 +600,39 @@ struct FleetState::Planner {
             : config->alpha * total_energy_norm +
                   (1.0 - config->alpha) * total_time_norm;
 
+    if (spread != nullptr && spread->blast_penalty > 0.0) {
+      // Expected blast-radius fraction Σ_d (n_d / n)² of the candidate (the
+      // Herfindahl concentration of types.hpp SpreadConfig): a first-
+      // occurrence O(b²) scan over the placed blocks — no allocation, and
+      // the penalty is ≥ 0, so the branch-and-bound partial sums stay lower
+      // bounds of the final rank. An unmapped server (domain -1) counts as
+      // its own singleton domain.
+      double herfindahl = 0.0;
+      for (std::size_t i = 0; i < placed.size(); ++i) {
+        const int di = placed[i].domain;
+        bool counted_earlier = false;
+        double in_domain = 0.0;
+        for (std::size_t j = 0; j < placed.size(); ++j) {
+          const bool same_domain = di >= 0 ? placed[j].domain == di : i == j;
+          if (!same_domain) {
+            continue;
+          }
+          if (j < i) {
+            counted_earlier = true;
+            break;
+          }
+          in_domain += placed[j].block.total();
+        }
+        if (!counted_earlier) {
+          const double fraction = in_domain / n_vms;
+          herfindahl += fraction * fraction;
+        }
+      }
+      out.combined += spread->blast_penalty * herfindahl;
+    }
+
+    // QoS: for each class, the k-th smallest estimated time must fit under
+    // the k-th tightest deadline (optimal matching by exchange argument).
     for (const ProfileClass profile : workload::kAllProfileClasses) {
       const int ci = static_cast<int>(profile);
       if (deadlines[ci].empty()) {
@@ -584,18 +658,30 @@ struct FleetState::Planner {
     return out;
   }
 
-  /// Prefix-incremental candidate evaluation — the batch
-  /// IncrementalEvaluator::evaluate over the persistent group index.
-  /// Rewinding a consumed prefix just decrements per-group counters;
-  /// the common-prefix length is precomputed, and `placed` is always a
-  /// prefix of the previous partition in enumeration order, so the
-  /// retained entries are exactly the ones a fresh comparison would keep.
+  /// Prefix-incremental candidate evaluation: greedy placement per block,
+  /// then the aggregate rank and the QoS check. The enumeration emits
+  /// candidates in canonical order, so consecutive candidates share long
+  /// block prefixes — and a block's greedy placement is a pure function
+  /// of the blocks before it — so only the differing suffix is re-placed.
+  /// Rewinding a consumed prefix just decrements the per-group and
+  /// per-domain counters; the common-prefix length is precomputed, and
+  /// `placed` is always a prefix of the previous partition in enumeration
+  /// order, so the retained entries are exactly the ones a fresh
+  /// comparison would keep. Returns nullopt when some block fits nowhere,
+  /// or — with pruning armed — as soon as a lower bound on the final rank
+  /// exceeds `prune_above` (only candidates strictly worse than a
+  /// complete one are abandoned, so the result is unchanged).
   [[nodiscard]] std::optional<EvalOutcome> evaluate(
       const CachedPartition& cp, double prune_above) {
     const partition::TypedPartition& blocks = cp.blocks;
     const std::size_t keep = std::min(cp.lcp, placed.size());
     for (std::size_t i = placed.size(); i > keep; --i) {
-      --used_count[placed[i - 1].group_ordinal];
+      const PlacedBlock& gone = placed[i - 1];
+      --used_count[gone.group_ordinal];
+      if (gone.domain >= 0) {
+        domain_used[static_cast<std::size_t>(gone.domain)] -=
+            gone.block.total();
+      }
     }
     placed.resize(keep);
     bound_after.resize(keep);
@@ -627,6 +713,10 @@ struct FleetState::Planner {
         return std::nullopt;  // no unused server can host this block
       }
       ++used_count[next->group_ordinal];
+      if (next->domain >= 0) {
+        domain_used[static_cast<std::size_t>(next->domain)] +=
+            next->block.total();
+      }
       placed.push_back(*next);
       const double bound = (placed.size() > 1 ? bound_after.back() : 0.0) +
                            placed.back().contribution;
@@ -645,26 +735,45 @@ FleetState::FleetState(const modeldb::ModelDatabase& db,
                        ProactiveConfig config)
     : FleetState(std::vector<const modeldb::ModelDatabase*>{&db}, config) {}
 
+void FleetState::validate(
+    const ProactiveConfig& config,
+    const std::vector<const modeldb::ModelDatabase*>& dbs) {
+  AEVA_REQUIRE(config.alpha >= 0.0 && config.alpha <= 1.0,
+               "alpha must be in [0, 1], got ", config.alpha);
+  AEVA_REQUIRE(config.max_partitions >= 1, "partition budget must be >= 1");
+  AEVA_REQUIRE(config.search_threads == 1,
+               "search_threads must be 1: the parallel search was removed, "
+               "got ", config.search_threads);
+  if (config.spread.enabled) {
+    AEVA_REQUIRE(config.spread.max_vms_per_domain >= 1,
+                 "spread cap must be >= 1, got ",
+                 config.spread.max_vms_per_domain);
+    AEVA_REQUIRE(config.spread.domain_count >= 1,
+                 "spread needs at least one failure domain");
+    // The planner indexes its per-domain tally by these values.
+    for (const int domain : config.spread.domain_of_server) {
+      AEVA_REQUIRE(domain >= -1 && domain < config.spread.domain_count,
+                   "spread domain ", domain, " outside [-1, ",
+                   config.spread.domain_count, ")");
+    }
+  }
+  AEVA_REQUIRE(!dbs.empty(), "need at least one model database");
+  for (const modeldb::ModelDatabase* db : dbs) {
+    AEVA_REQUIRE(db != nullptr, "null model database");
+  }
+  if (config.degrade_to_first_fit) {
+    AEVA_REQUIRE(config.fallback_multiplex >= 1,
+                 "fallback multiplex factor must be >= 1, got ",
+                 config.fallback_multiplex);
+  }
+}
+
 FleetState::FleetState(std::vector<const modeldb::ModelDatabase*> dbs,
                        ProactiveConfig config)
     : config_(config) {
-  AEVA_REQUIRE(config_.alpha >= 0.0 && config_.alpha <= 1.0,
-               "alpha must be in [0, 1], got ", config_.alpha);
-  AEVA_REQUIRE(config_.max_partitions >= 1, "partition budget must be >= 1");
-  AEVA_REQUIRE(config_.search_threads == 1,
-               "search_threads must be 1: the parallel search was removed, "
-               "got ", config_.search_threads);
-  // The incremental planner's persistent group index is keyed by
-  // (hardware, mix) only; a spread-constrained plan would need the domain
-  // in the key. Route spread-enabled configs through the batch allocator
-  // until the index learns domains.
-  AEVA_REQUIRE(!config_.spread.enabled,
-               "FleetState does not support the spread constraint yet; "
-               "use ProactiveAllocator for spread-constrained placement");
-  AEVA_REQUIRE(!dbs.empty(), "need at least one model database");
+  validate(config_, dbs);
   models_.reserve(dbs.size());
   for (const modeldb::ModelDatabase* db : dbs) {
-    AEVA_REQUIRE(db != nullptr, "null model database");
     models_.emplace_back(*db, config.server_vm_cap);
   }
   // The per-server mixes a fleet can ever reach form the small
@@ -692,15 +801,18 @@ FleetState::FleetState(std::vector<const modeldb::ModelDatabase*> dbs,
     }
   }
   if (config_.degrade_to_first_fit) {
-    AEVA_REQUIRE(config_.fallback_multiplex >= 1,
-                 "fallback multiplex factor must be >= 1, got ",
-                 config_.fallback_multiplex);
     // Testbed servers have 4 CPUs regardless of hardware class.
     fallback_.emplace(config_.fallback_multiplex,
                       std::vector<int>(models_.size(), 4));
+    // The degradation leg enforces the same spread constraint, so no path
+    // out of the planner can over-concentrate a request.
+    fallback_->set_spread(config_.spread);
   }
-  // Same arming condition as the batch search (pruning never changes
-  // results; it only skips work).
+  // Pruning never changes results; it only skips work. The α-weighted
+  // rank is a sum of per-block terms whose time part is always ≥ 0 and
+  // whose energy part is ≥ 0 exactly when every database is
+  // energy-monotone; α = 0 needs no energy bound. The EDP goal is a
+  // product of totals — not separable — so it never prunes.
   if (config_.goal == ProactiveGoal::kAlphaWeighted) {
     bool energy_bounded = true;
     for (const CostModel& model : models_) {
@@ -733,41 +845,52 @@ std::size_t FleetState::index_of(int server_id) const noexcept {
                : nodes_.size();
   }
   const auto it = std::lower_bound(
-      nodes_.begin(), nodes_.end(), server_id,
-      [](const AllocationNode& node, int id) { return node.id < id; });
-  return it != nodes_.end() && it->id == server_id
-             ? static_cast<std::size_t>(it - nodes_.begin())
-             : nodes_.size();
+      by_id_.begin(), by_id_.end(), server_id,
+      [](const std::pair<int, std::uint32_t>& e, int id) {
+        return e.first < id;
+      });
+  return it != by_id_.end() && it->first == server_id ? it->second
+                                                      : nodes_.size();
 }
 
-AllocationNode& FleetState::node_mut(int server_id) {
+std::size_t FleetState::position_of(int server_id) const {
   const std::size_t index = index_of(server_id);
   AEVA_REQUIRE(index < nodes_.size(), "unknown server id ", server_id);
-  return nodes_[index];
+  return index;
 }
 
 const AllocationNode& FleetState::node(int server_id) const {
-  const std::size_t index = index_of(server_id);
-  AEVA_REQUIRE(index < nodes_.size(), "unknown server id ", server_id);
-  return nodes_[index];
+  return nodes_[position_of(server_id)];
 }
 
-void FleetState::index_insert(const AllocationNode& node) {
-  const auto [it, created] =
-      groups_.try_emplace(GroupKey{node.hardware, node.allocated});
+FleetState::GroupKey FleetState::key_of(
+    const AllocationNode& node) const noexcept {
+  return GroupKey{MixKey{node.hardware, node.allocated},
+                  config_.spread.enabled ? config_.spread.domain_of(node.id)
+                                         : -1};
+}
+
+void FleetState::index_insert(std::size_t at) {
+  const auto [it, created] = groups_.try_emplace(key_of(nodes_[at]));
   if (created) {
-    // A brand-new mix: the universe grows, the planner extends lazily.
+    // A brand-new key: the universe grows, the planner extends lazily.
+    const auto [mix, new_mix] = mixes_.try_emplace(it->first.base);
+    if (new_mix) {
+      mix->second.ordinal = static_cast<std::uint32_t>(mix_order_.size());
+      mix_order_.emplace_back(&mix->first, &mix->second);
+    }
     it->second.ordinal = static_cast<std::uint32_t>(slot_order_.size());
     slot_order_.emplace_back(&it->first, &it->second);
+    slot_mix_.push_back(mix->second.ordinal);
     member_count_.push_back(0);
-    head_id_.push_back(0);
+    head_pos_.push_back(0);
     live_pos_.push_back(0);
   }
-  std::vector<int>& members = it->second.members;
-  members.insert(std::lower_bound(members.begin(), members.end(), node.id),
-                 node.id);
+  std::vector<std::uint32_t>& members = it->second.members;
+  const auto pos = static_cast<std::uint32_t>(at);
+  members.insert(std::lower_bound(members.begin(), members.end(), pos), pos);
   const std::uint32_t ordinal = it->second.ordinal;
-  head_id_[ordinal] = members.front();
+  head_pos_[ordinal] = members.front();
   if (++member_count_[ordinal] == 1) {
     live_pos_[ordinal] = static_cast<std::uint32_t>(live_order_.size());
     live_order_.push_back(ordinal);
@@ -775,17 +898,18 @@ void FleetState::index_insert(const AllocationNode& node) {
   }
 }
 
-void FleetState::index_erase(const AllocationNode& node) {
-  const auto it = groups_.find(GroupKey{node.hardware, node.allocated});
+void FleetState::index_erase(std::size_t at) {
+  const AllocationNode& node = nodes_[at];
+  const auto it = groups_.find(key_of(node));
   AEVA_INVARIANT(it != groups_.end(), "group index lost server ", node.id);
-  std::vector<int>& members = it->second.members;
-  const auto pos =
-      std::lower_bound(members.begin(), members.end(), node.id);
-  AEVA_INVARIANT(pos != members.end() && *pos == node.id,
+  std::vector<std::uint32_t>& members = it->second.members;
+  const auto pos = std::lower_bound(members.begin(), members.end(),
+                                    static_cast<std::uint32_t>(at));
+  AEVA_INVARIANT(pos != members.end() && *pos == at,
                  "group index lost server ", node.id);
   members.erase(pos);
   const std::uint32_t ordinal = it->second.ordinal;
-  head_id_[ordinal] = members.empty() ? 0 : members.front();
+  head_pos_[ordinal] = members.empty() ? 0 : members.front();
   if (--member_count_[ordinal] == 0) {
     // Swap-remove from the live list; the planner's fold is an
     // order-independent min, so the ordering churn is harmless.
@@ -805,15 +929,17 @@ void FleetState::reset(std::span<const ServerState> servers,
                "down mask size ", down == nullptr ? 0 : down->size(),
                " does not match fleet size ", servers.size());
   nodes_.clear();
+  by_id_.clear();
   for (auto& [key, slot] : groups_) {
     (void)key;
-    slot.members.clear();  // memberships rebuild below; memos survive
+    slot.members.clear();  // memberships rebuild below; the memo survives
   }
   std::fill(member_count_.begin(), member_count_.end(), 0u);
   live_order_.clear();
   up_count_ = 0;
   ++stats_.resyncs;
   nodes_.reserve(servers.size());
+  dense_ids_ = true;
   for (std::size_t i = 0; i < servers.size(); ++i) {
     const ServerState& server = servers[i];
     (void)model_of(server.hardware);  // validates the class eagerly
@@ -824,37 +950,32 @@ void FleetState::reset(std::span<const ServerState> servers,
     node.powered = server.powered;
     node.down = down != nullptr && (*down)[i] != 0;
     nodes_.push_back(node);
+    dense_ids_ = dense_ids_ && server.id == static_cast<int>(i);
   }
-  const auto by_id = [](const AllocationNode& a, const AllocationNode& b) {
-    return a.id < b.id;
-  };
-  if (!std::is_sorted(nodes_.begin(), nodes_.end(), by_id)) {
-    std::sort(nodes_.begin(), nodes_.end(), by_id);
+  if (!dense_ids_) {
+    by_id_.reserve(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      by_id_.emplace_back(nodes_[i].id, static_cast<std::uint32_t>(i));
+    }
+    if (!std::is_sorted(by_id_.begin(), by_id_.end())) {
+      std::sort(by_id_.begin(), by_id_.end());
+    }
+    for (std::size_t i = 1; i < by_id_.size(); ++i) {
+      AEVA_REQUIRE(by_id_[i - 1].first != by_id_[i].first,
+                   "duplicate server id ", by_id_[i].first);
+    }
   }
-  dense_ids_ = true;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    AEVA_REQUIRE(i == 0 || nodes_[i - 1].id != nodes_[i].id,
-                 "duplicate server id ", nodes_[i].id);
-    dense_ids_ = dense_ids_ && nodes_[i].id == static_cast<int>(i);
-  }
-  for (const AllocationNode& node : nodes_) {
-    if (!node.down) {
+    if (!nodes_[i].down) {
       ++up_count_;
-      index_insert(node);
+      index_insert(i);
     }
   }
 }
 
 SyncOutcome FleetState::sync(std::span<const ServerState> servers) {
-  // Merge walk: nodes_ and (when ordered) `servers` both ascend by id.
-  const auto ordered = [&servers] {
-    for (std::size_t j = 1; j < servers.size(); ++j) {
-      if (servers[j].id <= servers[j - 1].id) {
-        return false;
-      }
-    }
-    return true;
-  };
+  // Merge walk over nodes_ and `servers`, both in the last reset()'s order
+  // for as long as the span keeps it.
   // Nonzero unless the node is live and mirrors `want` field for field —
   // branch-free, so the unchanged stretches that make up almost all of a
   // span compare at memory speed.
@@ -886,12 +1007,17 @@ SyncOutcome FleetState::sync(std::span<const ServerState> servers) {
       exact_until = i + kStride;
     }
     // Something in this stretch changed: resolve its nodes exactly.
-    AllocationNode& node = nodes_[i++];
-    if (j < servers.size() && servers[j].id < node.id) {
-      // An id this fleet has never seen — or the span descends here.
-      expressible = false;
-      break;
+    AllocationNode& node = nodes_[i];
+    if (j < servers.size() && servers[j].id != node.id) {
+      const std::size_t at = index_of(servers[j].id);
+      if (at < i || at == nodes_.size()) {
+        // The span leaves the reset order here, or names an id this
+        // fleet has never seen.
+        expressible = false;
+        break;
+      }
     }
+    ++i;
     if (j == servers.size() || servers[j].id != node.id) {
       if (!node.down) {
         crash(node.id);  // vanished from the span
@@ -931,42 +1057,42 @@ SyncOutcome FleetState::sync(std::span<const ServerState> servers) {
   if (expressible && j == servers.size()) {
     return SyncOutcome::kDeltas;
   }
-  if (!ordered()) {
-    return SyncOutcome::kUnordered;
-  }
   reset(servers);
   return SyncOutcome::kReset;
 }
 
 void FleetState::allocate(int server_id, ProfileClass profile, int count) {
   AEVA_REQUIRE(count >= 1, "allocate delta must be >= 1, got ", count);
-  AllocationNode& node = node_mut(server_id);
+  const std::size_t at = position_of(server_id);
+  AllocationNode& node = nodes_[at];
   AEVA_REQUIRE(!node.down, "cannot allocate on crashed server ", server_id);
-  index_erase(node);
+  index_erase(at);
   node.allocated.of(profile) += count;
   node.powered = true;
-  index_insert(node);
+  index_insert(at);
   ++stats_.allocs;
 }
 
 void FleetState::deallocate(int server_id, ProfileClass profile, int count) {
   AEVA_REQUIRE(count >= 1, "deallocate delta must be >= 1, got ", count);
-  AllocationNode& node = node_mut(server_id);
+  const std::size_t at = position_of(server_id);
+  AllocationNode& node = nodes_[at];
   AEVA_REQUIRE(!node.down, "cannot deallocate on crashed server ", server_id);
   AEVA_REQUIRE(node.allocated.of(profile) >= count,
                "deallocate underflow on server ", server_id);
-  index_erase(node);
+  index_erase(at);
   node.allocated.of(profile) -= count;
-  index_insert(node);
+  index_insert(at);
   ++stats_.deallocs;
 }
 
 void FleetState::crash(int server_id) {
-  AllocationNode& node = node_mut(server_id);
+  const std::size_t at = position_of(server_id);
+  AllocationNode& node = nodes_[at];
   if (node.down) {
     return;  // already masked (mirrors the serve capacity model)
   }
-  index_erase(node);
+  index_erase(at);
   node.down = true;
   node.powered = false;
   node.allocated = ClassCounts{};
@@ -974,13 +1100,14 @@ void FleetState::crash(int server_id) {
 }
 
 void FleetState::repair(int server_id) {
-  AllocationNode& node = node_mut(server_id);
+  const std::size_t at = position_of(server_id);
+  AllocationNode& node = nodes_[at];
   if (!node.down) {
     return;
   }
   node.down = false;  // returns cold (powered == false) and empty
   ++up_count_;
-  index_insert(node);
+  index_insert(at);
 }
 
 void FleetState::crash_domain(std::span<const int> server_ids) {
@@ -1001,7 +1128,7 @@ const std::vector<ServerState>& FleetState::up_servers() const {
   }
   up_scratch_.clear();
   up_scratch_.reserve(up_count_);
-  for (const AllocationNode& node : nodes_) {  // id order == batch up order
+  for (const AllocationNode& node : nodes_) {  // tie-break order
     if (node.down) {
       continue;
     }
@@ -1021,25 +1148,25 @@ FleetStats FleetState::stats() const {
 }
 
 const FleetState::MemoEntry& FleetState::memo_entry(
-    const GroupKey& group, GroupSlot& slot, std::uint64_t shape_key,
+    const MixKey& key, MixSlot& slot, std::uint64_t shape_key,
     const ClassCounts& block) {
   const auto pos = std::lower_bound(
       slot.memo.begin(), slot.memo.end(), shape_key,
-      [](const std::pair<std::uint64_t, MemoEntry>& e, std::uint64_t key) {
-        return e.first < key;
+      [](const std::pair<std::uint64_t, MemoEntry>& e, std::uint64_t k) {
+        return e.first < k;
       });
   if (pos != slot.memo.end() && pos->first == shape_key) {
     ++stats_.memo_hits;
     return pos->second;
   }
   ++stats_.memo_misses;
-  // Fill: the request-independent core of SearchContext::placed_on — a
+  // Fill: the request-independent estimate of `block` on this mix — a
   // pure function of (hardware, base mix, block) and the database, so the
-  // entry replays bit-for-bit forever. block_time is summed here in the
-  // same class order the batch evaluator uses per candidate.
+  // entry replays bit-for-bit forever. block_time is summed here in class
+  // order, as the per-candidate time sums are.
   MemoEntry entry;
-  const CostModel& model = model_of(group.hardware);
-  const ClassCounts combined = group.mix + block;
+  const CostModel& model = model_of(key.hardware);
+  const ClassCounts combined = key.mix + block;
   if (model.feasible(combined)) {
     const modeldb::Record rec = model.estimate(combined);
     for (const ProfileClass profile : workload::kAllProfileClasses) {
@@ -1048,10 +1175,10 @@ const FleetState::MemoEntry& FleetState::memo_entry(
           block.of(profile) > 0 ? rec.time_of(profile) : 0.0;
       entry.block_time += block.of(profile) * entry.time_per_class[ci];
     }
-    // The base energy is shape-independent: fill it once per slot and
-    // replay the identical double for every later shape of this mix.
+    // The base energy is shape-independent: fill it once per mix and
+    // replay the identical double for every later shape.
     if (!slot.base_known) {
-      slot.base_energy_j = model.mix_energy_j(group.mix);
+      slot.base_energy_j = model.mix_energy_j(key.mix);
       slot.base_known = true;
     }
     entry.marginal_energy_j = rec.energy_j - slot.base_energy_j;
@@ -1081,6 +1208,15 @@ void FleetState::plan_into(std::span<const VmRequest> vms,
     result.complete = true;
     return;
   }
+  if (!config_.spread.feasible_width(vms.size())) {
+    // Terminal: the declared failure domains cannot absorb a request this
+    // wide under the per-domain cap — no search, retry, or fallback can
+    // change that (the degradation leg enforces the same constraint).
+    result.outcome = AllocationOutcome{AllocationPath::kRejected,
+                                       RejectReason::kSpreadInfeasible,
+                                       false};
+    return;
+  }
 
   ClassCounts request;
   for (const VmRequest& vm : vms) {
@@ -1093,8 +1229,8 @@ void FleetState::plan_into(std::span<const VmRequest> vms,
   Planner& planner = *scratch_;
   planner.begin_plan(*this);
   planner.n_vms = static_cast<double>(vms.size());
-  // Normalization references always come from hardware class 0, as in the
-  // batch search.
+  // Normalization references always come from hardware class 0 so ranks
+  // stay comparable across a heterogeneous fleet.
   planner.time_ref = models_.front().time_reference_s(request);
   planner.energy_ref = models_.front().energy_reference_j(request);
   for (const VmRequest& vm : vms) {
@@ -1148,6 +1284,11 @@ void FleetState::plan_into(std::span<const VmRequest> vms,
     }
   }
   result.partitions_examined = examined;
+  // Budget truncation: the enumeration stopped at `max_partitions`, so
+  // whatever is returned below is the best of the *examined* candidates,
+  // not provably the best of the space (conservative: a space of exactly
+  // max_partitions candidates was covered, but the enumeration cannot
+  // tell).
   const bool search_truncated = examined >= config_.max_partitions;
 
   const Incumbent* chosen = nullptr;
@@ -1159,7 +1300,8 @@ void FleetState::plan_into(std::span<const VmRequest> vms,
     chosen = &best.any;
   }
   if (chosen == nullptr) {
-    // Same classification (and fallback leg) as the batch allocator.
+    // Classify why the primary search failed before degrading: callers and
+    // tests branch on the reason instead of inferring it from `complete`.
     RejectReason reason = RejectReason::kNoFeasibleServer;
     if (up_count_ == 0) {
       reason = RejectReason::kNoServers;  // all masked or failed
@@ -1188,7 +1330,7 @@ void FleetState::plan_into(std::span<const VmRequest> vms,
   result.score.est_energy_j = chosen->est_energy_j;
   result.score.combined = chosen->combined;
 
-  // VM → slot mapping, exactly as the batch allocator: per class, the VM
+  // Map typed blocks back onto concrete VMs: per class, the VM
   // with the tightest deadline goes to the block slot with the smallest
   // estimated time. The two stable sorts are insertion sorts — the same
   // order as std::stable_sort, without its temporary buffer.
@@ -1214,7 +1356,7 @@ void FleetState::plan_into(std::span<const VmRequest> vms,
     for (const PlacedBlock& block : chosen->blocks) {
       for (int k = 0; k < block.block.of(profile); ++k) {
         slots.push_back(
-            Planner::MapSlot{block.time_per_class[ci], block.server_id});
+            Planner::MapSlot{block.time_per_class[ci], block.server_pos});
       }
     }
     AEVA_INVARIANT(slots.size() == class_vms.size(),
@@ -1226,7 +1368,7 @@ void FleetState::plan_into(std::span<const VmRequest> vms,
         });
     for (std::size_t k = 0; k < class_vms.size(); ++k) {
       result.placements.push_back(
-          Placement{class_vms[k]->id, slots[k].server_id});
+          Placement{class_vms[k]->id, nodes_[slots[k].server_pos].id});
     }
   }
   result.complete = true;

@@ -1,43 +1,49 @@
 #pragma once
 
 /// \file incremental.hpp
-/// Incremental per-server allocator state: the persistent fleet model
-/// behind both `ProactiveAllocator::allocate` and serve mode's
-/// `--incremental` planner.
+/// The proactive allocator's search (Sect. III-D, Fig. 3) on a persistent
+/// fleet model: `FleetState` is the one implementation behind both
+/// `ProactiveAllocator::allocate` and serve mode's `--incremental`
+/// planner.
 ///
-/// A batch proactive search rebuilds its evaluation context from the full
-/// server list on every call — a fresh equivalence-group index with one
-/// model estimate per distinct mix for the base energies, a fresh
-/// per-shape score memo. That per-call O(fleet) setup dominates a
-/// decision, not the partition search itself (requests carry 1–4 VMs, so
-/// the candidate space is tiny).
+/// A request carries 1–4 VMs, so its candidate space is tiny; what costs
+/// is the per-server context a search reads. `FleetState` keeps that
+/// context alive between decisions, in the style of redpanda's
+/// `allocation_node` / `partition_allocator` split (SNIPPETS.md #2):
+/// - one `AllocationNode` per server carrying its cached allocation
+///   vector and liveness;
+/// - a **persistent equivalence-group index**: servers keyed by identical
+///   (hardware class, resident mix, failure domain), with O(log n)
+///   membership updates on every `allocate()`/`deallocate()` delta. The
+///   domain joins the key only when the spread constraint is on
+///   (`ProactiveConfig::spread`); otherwise it is −1 for every server;
+/// - a **persistent score memo** keyed by (hardware, base mix, block
+///   shape). A block's estimate on a server is a pure function of that
+///   key and the model database, so the memo entries replay bit-for-bit
+///   across decisions, never need invalidation, and are shared by groups
+///   that differ only in failure domain.
 ///
-/// `FleetState` keeps that context alive between decisions, in the style
-/// of redpanda's `partition_allocator` (SNIPPETS.md #2): one
-/// `AllocationNode` per server carrying its cached allocation vector and
-/// liveness, a **persistent equivalence-group index** (servers keyed by
-/// identical (hardware class, resident mix) — the same quotient the batch
-/// search rebuilds per call) with O(log n) membership updates on every
-/// `allocate()`/`deallocate()` delta, and a **persistent score memo**
-/// keyed by (hardware, base mix, block shape). Because the batch search's
-/// per-block evaluation (`placed_on`) is a pure function of exactly that
-/// key and the model database, the memo entries replay bit-for-bit across
-/// decisions and never need invalidation.
+/// `plan()` enumerates the request's canonical typed partitions, places
+/// each block greedily on the best unused server (ties → the earliest
+/// server of the span, as in the paper), honours the per-domain spread
+/// cap and blast penalty, and falls back to first-fit or rejects with a
+/// reason — touching only the group index (|groups| ≪ fleet), never the
+/// fleet.
 ///
-/// `plan()` then reproduces the exhaustive search **exactly** — same
-/// canonical partition enumeration, same greedy per-block server choice
-/// with the same tie-breaks, same reject taxonomy and first-fit fallback
-/// leg, the same doubles everywhere — while touching only the group index
-/// (|groups| ≪ fleet) instead of the fleet.
+/// "Earliest" means the server's position in the span of the last
+/// `reset()`. For an id-ascending span — every simulator and serve call —
+/// that is id order; a caller that orders its span on purpose (the
+/// thermal guard passes the coolest servers first) gets its order.
 ///
 /// Two callers keep a FleetState current:
 /// - **Deltas.** Serve mode's `--incremental` planner applies every
 ///   commit, release, crash and repair as it happens
 ///   (serve::IncrementalConfig, docs/SERVING.md).
-/// - **Sync.** `ProactiveAllocator` caches one FleetState and brings it to
-///   each call's server span with `sync()`: one linear walk in id order
-///   that turns the differences into the same deltas, falling back to one
-///   `reset()` only for changes the delta API cannot express.
+/// - **Sync.** `ProactiveAllocator` owns one FleetState and brings it to
+///   each call's server span with `sync()`: one linear walk that turns the
+///   differences into the same deltas, falling back to one `reset()` for
+///   changes the delta API cannot express, including a span in a new
+///   order.
 ///
 /// Not thread-safe: one FleetState belongs to one caller at a time (the
 /// serve loop, or the allocator under its fleet mutex).
@@ -95,9 +101,8 @@ struct FleetStats {
 
 /// What FleetState::sync() did to bring the mirror to a server span.
 enum class SyncOutcome {
-  kDeltas,     ///< allocate/deallocate/crash/repair deltas only
-  kReset,      ///< one full reset() (a change deltas cannot express)
-  kUnordered,  ///< ids not strictly ascending: nothing planned against it
+  kDeltas,  ///< allocate/deallocate/crash/repair deltas only
+  kReset,   ///< one full reset() (a change deltas cannot express)
 };
 
 /// The incremental fleet: per-server `AllocationNode`s, the persistent
@@ -108,38 +113,46 @@ class FleetState {
   /// Homogeneous fleet. The database must outlive the fleet state.
   FleetState(const modeldb::ModelDatabase& db, ProactiveConfig config);
 
-  /// Heterogeneous fleet: one model per hardware class, exactly as the
-  /// batch allocator's heterogeneous constructor. `dbs` must be non-empty
-  /// and contain no nulls; all databases must outlive the fleet state.
+  /// Heterogeneous fleet: one model per hardware class;
+  /// `ServerState::hardware` indexes into `dbs`, and normalization
+  /// references come from class 0. `dbs` must be non-empty and contain no
+  /// nulls; all databases must outlive the fleet state. Runs validate().
   FleetState(std::vector<const modeldb::ModelDatabase*> dbs,
              ProactiveConfig config);
+
+  /// The configuration checks — α, partition budget, `search_threads`,
+  /// spread cap, domain count and domain map, fallback multiplex, the
+  /// database list — throwing std::invalid_argument. The constructor
+  /// runs them; `ProactiveAllocator` runs them at its own construction
+  /// and builds its fleet on the first call.
+  static void validate(const ProactiveConfig& config,
+                       const std::vector<const modeldb::ModelDatabase*>& dbs);
 
   ~FleetState();
   FleetState(FleetState&&) noexcept;
   FleetState& operator=(FleetState&&) noexcept;
 
   /// Rebuilds every node and the group index from authoritative server
-  /// states (initial sync, snapshot restore, oracle-driven resync).
-  /// Server ids must be unique; the optional `down` mask is indexed
-  /// positionally and must match `servers` in size when present. The
-  /// score memo survives (it is a pure function of the model database).
+  /// states (initial sync, snapshot restore, oracle-driven resync). The
+  /// span's order becomes the fleet's tie-break order (see the file
+  /// comment). Server ids must be unique; the optional `down` mask is
+  /// indexed positionally and must match `servers` in size when present.
+  /// The score memo survives (it is a pure function of the model
+  /// database).
   void reset(std::span<const ServerState> servers,
              const std::vector<std::uint8_t>* down = nullptr);
 
-  /// Brings the fleet to exactly `servers` (ids strictly ascending) in one
-  /// linear walk in id order, so that plan() afterwards answers as the
-  /// batch search over `servers` would:
+  /// Brings the fleet to exactly `servers` in one linear walk, so that
+  /// plan() afterwards answers for `servers` in their order. While the
+  /// span keeps the order of the last reset() (servers may be missing):
   /// - a changed mix becomes allocate()/deallocate() deltas;
-  /// - an id missing from the span becomes crash();
-  /// - a known id that returns becomes repair() plus deltas;
+  /// - a server missing from the span becomes crash();
+  /// - a known server that returns becomes repair() plus deltas;
   /// - a server that powered on with no net change in its mix (a VM came
   ///   and went between two syncs, or it returned warm) replays one
-  ///   allocate()/deallocate() pair;
-  /// - anything else — an unknown id, a changed hardware class, a server
-  ///   powered off in place — becomes one reset().
-  /// Returns kUnordered, with nothing reset, when the ids are not strictly
-  /// ascending; the fleet is then a valid but unspecified state until the
-  /// next successful sync() or reset().
+  ///   allocate()/deallocate() pair.
+  /// Anything else — an unknown id, a span in another order, a changed
+  /// hardware class, a server powered off in place — becomes one reset().
   SyncOutcome sync(std::span<const ServerState> servers);
 
   /// Delta update: one VM of `profile` committed to / released from the
@@ -165,12 +178,13 @@ class FleetState {
   void crash_domain(std::span<const int> server_ids);
   void repair_domain(std::span<const int> server_ids);
 
-  /// Plans a request against the cached state: bit-identical placements,
-  /// score, outcome, and search effort to
-  /// `ProactiveAllocator::allocate(vms, up_servers())` under the same
-  /// config — with `AllocationPath::kIncremental` marking results the
-  /// incremental primary search produced (the fallback/reject legs keep
-  /// their batch labels). Non-const: the score memo fills lazily.
+  /// Plans a request against the cached state: the placements, score,
+  /// outcome and search effort of the proactive search over
+  /// `up_servers()` under the fleet's config, with
+  /// `AllocationPath::kIncremental` marking results the primary search
+  /// produced (the fallback and reject legs keep their own labels). A
+  /// request wider than the spread constraint admits rejects at once
+  /// with `kSpreadInfeasible`. Non-const: the score memo fills lazily.
   [[nodiscard]] AllocationResult plan(std::span<const VmRequest> vms);
 
   /// plan() writing into `out`, whose `placements` capacity is retained:
@@ -178,11 +192,13 @@ class FleetState {
   /// simulator's zero-alloc gate, tests/datacenter/zero_alloc_test.cpp).
   void plan_into(std::span<const VmRequest> vms, AllocationResult& out);
 
-  /// The live (non-down) servers, in id order — the exact view the batch
-  /// allocator would receive. O(fleet) to fill but allocation-free once
-  /// the internal scratch has grown to fleet size: the reference aims at
-  /// a reused member buffer, invalidated by the next up_servers() call
-  /// (copy it if you need to hold it across fleet mutations).
+  /// The live (non-down) servers, in tie-break order (the order of the
+  /// last reset() span) — the span plan() answers for, and the one the
+  /// first-fit fallback leg receives. O(fleet) to fill but
+  /// allocation-free once the internal scratch has grown to fleet size:
+  /// the reference aims at a reused member buffer, invalidated by the
+  /// next up_servers() call (copy it if you need to hold it across fleet
+  /// mutations).
   [[nodiscard]] const std::vector<ServerState>& up_servers() const;
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
@@ -199,62 +215,86 @@ class FleetState {
   }
 
  private:
-  /// Group key: (hardware class, resident mix) — two live servers with
-  /// equal keys are interchangeable for any block up to the id tie-break.
-  struct GroupKey {
+  /// (hardware class, resident mix): everything a block's estimate on a
+  /// server depends on.
+  struct MixKey {
     int hardware = 0;
     workload::ClassCounts mix;
 
-    friend bool operator<(const GroupKey& a, const GroupKey& b) noexcept {
+    friend bool operator<(const MixKey& a, const MixKey& b) noexcept {
       if (a.hardware != b.hardware) return a.hardware < b.hardware;
       return a.mix < b.mix;
     }
   };
 
-  /// Request-independent evaluation of one block shape on one group:
-  /// the exact doubles `SearchContext::placed_on` would produce. A pure
-  /// function of (hardware, base mix, block shape) and the database —
-  /// cached forever, never invalidated.
+  /// Group key: the mix plus the failure domain — two live servers with
+  /// equal keys are interchangeable for any block up to the position
+  /// tie-break. The domain is −1 when spread is off or the server is
+  /// unmapped (unmapped servers are never capped).
+  struct GroupKey {
+    MixKey base;
+    int domain = -1;
+
+    friend bool operator<(const GroupKey& a, const GroupKey& b) noexcept {
+      if (a.base.hardware != b.base.hardware) {
+        return a.base.hardware < b.base.hardware;
+      }
+      if (!(a.base.mix == b.base.mix)) return a.base.mix < b.base.mix;
+      return a.domain < b.domain;
+    }
+  };
+
+  /// Request-independent evaluation of one block shape on one mix: a
+  /// pure function of (hardware, base mix, block shape) and the
+  /// database — cached forever, never invalidated.
   struct MemoEntry {
     bool feasible = false;
     double time_per_class[workload::kProfileClassCount] = {0.0, 0.0, 0.0};
     /// Σ block.of(c) · time_per_class[c], summed in class order at fill
-    /// time — the exact double the batch evaluator's per-block time loop
-    /// produces, hoisted out of the hot path.
+    /// time and hoisted out of the hot path.
     double block_time = 0.0;
     double marginal_energy_j = 0.0;
   };
 
-  /// One equivalence group: the live members (ascending id) plus the
-  /// group's slice of the persistent score memo, keyed by the packed
-  /// block shape. Both sides are flat sorted vectors: lookups dominate
-  /// the steady-state decision cost, and contiguous binary searches /
-  /// indexed member access beat node-based containers by several times
-  /// (docs/PERFORMANCE.md), while updates are rare O(n) memmoves over
-  /// small arrays. A slot whose members drain empty is kept — its memo is
-  /// a pure function of (key, database) and stays valid if the mix ever
-  /// recurs; plan() skips member-less slots.
-  struct GroupSlot {
-    std::vector<int> members;  ///< sorted ascending
+  /// One mix's slice of the persistent score memo, keyed by the packed
+  /// block shape and shared by the groups that differ only in failure
+  /// domain, so each (hardware, mix, shape) is estimated once. A flat
+  /// sorted vector: lookups dominate the steady-state decision cost, and
+  /// contiguous binary searches beat node-based containers by several
+  /// times (docs/PERFORMANCE.md), while inserts are rare O(n) memmoves
+  /// over small arrays.
+  struct MixSlot {
     std::vector<std::pair<std::uint64_t, MemoEntry>> memo;
-    std::uint32_t ordinal = 0;  ///< creation index (slot_order_ position)
-    /// The base mix's absolute energy, filled on the slot's first memo
-    /// fill: every shape's marginal energy subtracts the same base, so
-    /// caching it halves the model estimates a new group costs.
+    std::uint32_t ordinal = 0;  ///< creation index (mix_order_ position)
+    /// The base mix's absolute energy, filled on the first memo fill:
+    /// every shape's marginal energy subtracts the same base, so caching
+    /// it halves the model estimates a new mix costs.
     double base_energy_j = 0.0;
     bool base_known = false;
+  };
+
+  /// One equivalence group: the live members, ascending by position (a
+  /// flat vector with indexed access, like the memo). A slot whose
+  /// members drain empty is kept — everything cached for it is a pure
+  /// function of (key, database) and stays valid if the key ever recurs;
+  /// plan() skips member-less slots.
+  struct GroupSlot {
+    std::vector<std::uint32_t> members;  ///< nodes_ positions, ascending
+    std::uint32_t ordinal = 0;  ///< creation index (slot_order_ position)
   };
 
   struct Planner;  // per-plan() search state, in incremental.cpp
 
   [[nodiscard]] const CostModel& model_of(int hardware) const;
-  /// nodes_ index of `server_id`, or nodes_.size() when unknown.
+  /// nodes_ index (tie-break position) of `server_id`, or nodes_.size()
+  /// when unknown.
   [[nodiscard]] std::size_t index_of(int server_id) const noexcept;
-  [[nodiscard]] AllocationNode& node_mut(int server_id);
-  void index_insert(const AllocationNode& node);
-  void index_erase(const AllocationNode& node);
-  [[nodiscard]] const MemoEntry& memo_entry(const GroupKey& group,
-                                            GroupSlot& slot,
+  /// nodes_ index of `server_id`; throws when unknown.
+  [[nodiscard]] std::size_t position_of(int server_id) const;
+  [[nodiscard]] GroupKey key_of(const AllocationNode& node) const noexcept;
+  void index_insert(std::size_t at);
+  void index_erase(std::size_t at);
+  [[nodiscard]] const MemoEntry& memo_entry(const MixKey& key, MixSlot& slot,
                                             std::uint64_t shape_key,
                                             const workload::ClassCounts& block);
 
@@ -265,23 +305,35 @@ class FleetState {
   /// sit at or above this bound provably passes every per-block QoS
   /// check, letting plan() take the QoS-free fold.
   double max_time_s_ = 0.0;
-  bool prune_enabled_ = false;  ///< same arming condition as the batch search
-  /// Degradation leg, mirroring the batch allocator's fallback chain.
+  /// Branch-and-bound is armed only when the per-block partial sum is a
+  /// sound lower bound of the final rank (docs/PERFORMANCE.md).
+  bool prune_enabled_ = false;
+  /// Degradation leg (engaged only with `degrade_to_first_fit`); it
+  /// enforces the same spread constraint.
   std::optional<FirstFitAllocator> fallback_;
 
-  /// Sorted by id, so the vector is its own id index: a lookup is a
-  /// direct subscript when the ids are exactly 0..n−1 (`dense_ids_`, the
-  /// simulator's and serve's numbering) and a binary search otherwise.
+  /// In the order of the last reset() span: a node's index is its
+  /// tie-break position. When the ids are exactly 0..n−1 in order
+  /// (`dense_ids_`, the simulator's and serve's numbering) a lookup is a
+  /// direct subscript; otherwise it binary-searches `by_id_`.
   std::vector<AllocationNode> nodes_;
   bool dense_ids_ = true;
+  /// (id, nodes_ index) sorted by id; empty while `dense_ids_`.
+  std::vector<std::pair<int, std::uint32_t>> by_id_;
   std::size_t up_count_ = 0;
-  /// The persistent group index: ordered members, ascending id — the
-  /// "first unused member" a candidate's greedy scan must pick is always
-  /// the k-th smallest (earlier blocks of a candidate consume a prefix).
-  /// Each slot carries its own memo slice so the hot path's lookups are
-  /// small integer-keyed maps, not one big composite-keyed map
-  /// (docs/PERFORMANCE.md "Decision latency").
+  /// The persistent group index: ordered members, ascending position —
+  /// the "first unused member" a candidate's greedy scan must pick is
+  /// always the k-th earliest (earlier blocks of a candidate consume a
+  /// prefix).
   std::map<GroupKey, GroupSlot> groups_;
+  /// The memo, one small integer-keyed slice per mix rather than one big
+  /// composite-keyed map (docs/PERFORMANCE.md "Decision latency"), and
+  /// its creation-ordered view: mix ordinals index the planner's
+  /// per-shape evaluations. Like slots, mixes are never erased.
+  std::map<MixKey, MixSlot> mixes_;
+  std::vector<std::pair<const MixKey*, MixSlot*>> mix_order_;
+  /// Mix ordinal per slot ordinal.
+  std::vector<std::uint32_t> slot_mix_;
   /// Creation-ordered view of every slot — the group-key *universe*,
   /// which only ever grows (slots are never erased). Positions are the
   /// stable ordinals the planner's cross-plan caches are indexed by:
@@ -296,9 +348,9 @@ class FleetState {
   std::vector<std::uint32_t> member_count_;
   /// members.front() per slot ordinal (0 when drained): the planner's
   /// common case — a group not yet used by the candidate under
-  /// evaluation — reads its tie-break id from this dense array instead
-  /// of chasing into the map node.
-  std::vector<int> head_id_;
+  /// evaluation — reads its tie-break position from this dense array
+  /// instead of chasing into the map node.
+  std::vector<std::uint32_t> head_pos_;
   /// The ordinals with members right now, in arbitrary order (swap-remove
   /// maintenance via live_pos_). The planner's candidate fold touches
   /// exactly these |live| ≪ |universe| groups, and its lazy evaluation

@@ -14,29 +14,20 @@
 /// the QoS constraints. Ties between servers of equal rank resolve to the
 /// first server of the list, as in the paper.
 ///
-/// Two searches answer a call, with the same bits:
-/// - **Incremental (the default path).** The allocator caches one
-///   core::FleetState (incremental.hpp) — per-server nodes, equivalence
-///   groups and a score memo that live across calls — and syncs it to
-///   each call's server span with deltas before planning on it. A call
-///   therefore costs one linear compare walk over the span plus a
-///   fleet-size-independent plan, instead of rebuilding O(fleet) context.
-///   It runs when spread is off and server ids are strictly ascending
-///   (FleetState breaks ties by id, the batch search by span position).
-/// - **Batch.** Every other call (spread configs, reordered spans such as
-///   the thermal guard's, or a contended fleet lock) rebuilds its context
-///   per call and scores the candidates serially on the calling thread,
-///   over server-equivalence groups and with branch-and-bound pruning
-///   wherever a sound bound exists (docs/PERFORMANCE.md).
+/// One search answers every call: `ProactiveAllocator` is a thin adapter
+/// over one core::FleetState (incremental.hpp) — per-server nodes,
+/// equivalence groups and a score memo that live across calls. Each call
+/// syncs the fleet to its server span with deltas (one reset() when the
+/// span changes in a way deltas cannot express, such as a new order) and
+/// plans on it, so a call costs one linear compare walk over the span
+/// plus a fleet-size-independent plan.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/cost_model.hpp"
-#include "core/first_fit.hpp"
 #include "core/types.hpp"
 #include "modeldb/database.hpp"
 #include "obs/session.hpp"
@@ -103,9 +94,9 @@ struct ProactiveConfig {
   std::shared_ptr<obs::Session> obs;
 };
 
-/// Candidate outcomes of one search — the `pa.search.*` tallies — kept by
-/// the batch search and by FleetState::plan() alike, so either path
-/// flushes the same counters (docs/OBSERVABILITY.md).
+/// Candidate outcomes of one search — the `pa.search.*` tallies that
+/// FleetState::plan() keeps and the allocator flushes
+/// (docs/OBSERVABILITY.md).
 struct PlanTallies {
   std::uint64_t evaluated = 0;          ///< candidates scored to the end
   std::uint64_t pruned_bound = 0;       ///< abandoned by branch-and-bound
@@ -128,15 +119,15 @@ class ProactiveAllocator final : public Allocator {
                      ProactiveConfig config);
 
   /// Thread-safe and re-entrant: concurrent calls (e.g. through decorator
-  /// guards) are safe. The cached FleetState sits behind a mutex that a
-  /// call only try-locks — a call that finds it busy runs the batch search
-  /// instead of waiting — so every caller still gets the same bits.
+  /// guards) are safe. Each call holds the fleet mutex for its sync and
+  /// plan, so concurrent callers take turns and every caller gets the
+  /// same bits it would get alone.
   [[nodiscard]] AllocationResult allocate(
       std::span<const VmRequest> vms,
       std::span<const ServerState> servers) const override;
 
-  /// As allocate(); on the incremental path a warm call writes into `out`
-  /// without any heap allocation (the simulator's zero-alloc gate).
+  /// As allocate(); a warm call writes into `out` without any heap
+  /// allocation (the simulator's zero-alloc gate).
   void allocate_into(std::span<const VmRequest> vms,
                      std::span<const ServerState> servers,
                      AllocationResult& out) const override;
@@ -155,8 +146,7 @@ class ProactiveAllocator final : public Allocator {
 
  private:
   /// Mutable search state shared by const allocate() calls (and by copies
-  /// of the allocator): the cached FleetState of the incremental path,
-  /// created lazily under its mutex on first use and reused afterwards.
+  /// of the allocator): the FleetState and its mutex.
   struct SearchRuntime;
 
   /// Pre-resolved metric handles (all null when `config_.obs` is null, so
@@ -180,16 +170,6 @@ class ProactiveAllocator final : public Allocator {
     obs::Counter* fleet_resyncs = nullptr;
   };
 
-  /// The incremental path: syncs the cached FleetState to `servers` and
-  /// plans on it. False when the call must run the batch search instead
-  /// (fleet lock busy, or ids not strictly ascending).
-  bool plan_incremental(std::span<const VmRequest> vms,
-                        std::span<const ServerState> servers,
-                        AllocationResult& out) const;
-  /// The batch search: rebuilds the evaluation context from `servers`.
-  [[nodiscard]] AllocationResult search(
-      std::span<const VmRequest> vms,
-      std::span<const ServerState> servers) const;
   /// Flushes one call's `pa.*` search and outcome metrics. Callers guard
   /// on `obs_.calls` (observability on) and skip gathering the arguments
   /// otherwise.
@@ -197,13 +177,9 @@ class ProactiveAllocator final : public Allocator {
                  const PlanTallies& tally) const;
 
   ProactiveConfig config_;
-  /// Calls may take the incremental path: spread off (fixed at
-  /// construction).
-  bool incremental_ = false;
-  std::vector<CostModel> models_;
   std::shared_ptr<SearchRuntime> runtime_;
-  /// Degradation leg (engaged only with `degrade_to_first_fit`).
-  std::optional<FirstFitAllocator> fallback_;
+  /// The cost models behind cost_model(); the fleet keeps its own copies.
+  std::vector<CostModel> models_;
   ObsHandles obs_;
 };
 

@@ -58,8 +58,10 @@ struct SpreadConfig {
   bool enabled = false;
   /// Cap on one request's VMs per failure domain (>= 1 when enabled).
   int max_vms_per_domain = 1;
-  /// Dense server-id → domain-id map; must cover every server id the
-  /// allocator can see, with domain ids in [0, domain_count).
+  /// Dense server-id → domain-id map with domain ids in
+  /// [0, domain_count); −1, or an id past the end of the map, marks an
+  /// unmapped server, which no cap constrains. The proactive allocator
+  /// rejects any other value at construction.
   std::vector<int> domain_of_server;
   /// Number of distinct failure domains (the structural-feasibility
   /// bound: a request of n VMs needs n <= max_vms_per_domain × this).

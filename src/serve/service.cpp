@@ -676,12 +676,13 @@ struct AllocationService::Loop {
         vms.push_back(core::VmRequest{next_vm_id++, entry.request.profile,
                                       entry.request.qos_time_s});
       }
-      const std::vector<core::ServerState>& up = up_servers();
+      // Only the allocators that take a span get the O(fleet) up-server
+      // copy; the incremental planner reads its own mirror.
       bool used_incremental = false;
       if (rung != ServeMode::kNormal) {
-        fl.result = svc.degraded_.allocate(vms, up);
+        fl.result = svc.degraded_.allocate(vms, up_servers());
       } else if (!fleet.has_value()) {
-        fl.result = svc.primary_.allocate(vms, up);
+        fl.result = svc.primary_.allocate(vms, up_servers());
       } else {
         const bool oracle_due =
             now >= next_oracle_s ||
@@ -689,7 +690,7 @@ struct AllocationService::Loop {
              decisions_since_oracle + 1 >=
                  cfg.incremental.oracle_every_decisions);
         if (oracle_due) {
-          run_oracle(fl, vms, up);
+          run_oracle(fl, vms);
         } else {
           fl.result = fleet->plan(vms);
           ++decisions_since_oracle;
@@ -721,8 +722,7 @@ struct AllocationService::Loop {
   /// shadow. A mismatch in either the plan or the per-server capacity
   /// mirror counts one divergence; `drift_watermark` divergences since
   /// the last resync rebuild the fleet from ground truth.
-  void run_oracle(InFlight& fl, const std::vector<core::VmRequest>& vms,
-                  const std::vector<core::ServerState>& up) {
+  void run_oracle(InFlight& fl, const std::vector<core::VmRequest>& vms) {
     ++metrics.oracle_checks;
     AEVA_OBS_IF(obs.oracle_checks, obs.oracle_checks->add());
     decisions_since_oracle = 0;
@@ -732,7 +732,7 @@ struct AllocationService::Loop {
       }
     }
     const core::AllocationResult shadow = fleet->plan(vms);
-    fl.result = svc.primary_.allocate(vms, up);
+    fl.result = svc.primary_.allocate(vms, up_servers());
     if (!plans_equal(shadow, fl.result) || !fleet_in_sync()) {
       ++metrics.oracle_divergences;
       AEVA_OBS_IF(obs.oracle_divergences, obs.oracle_divergences->add());

@@ -6,10 +6,14 @@
 /// (commits, releases, crashes, repairs) where the reference is re-pointed
 /// at the fleet's own up-server view each round. The churn suite
 /// additionally asserts the operational bound: accumulated planned energy
-/// within 1% of the exhaustive baseline (exact parity makes it 0).
+/// within 1% of the exhaustive baseline (exact parity makes it 0). The
+/// spread suites repeat both with the failure-domain constraint on: caps
+/// 1 and 2, blast penalty 0 and 0.3, servers outside the domain map, and
+/// whole-domain crash_domain / repair_domain churn.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -63,6 +67,26 @@ std::vector<ServerState> random_servers(util::Rng& rng, int count) {
   return servers;
 }
 
+/// A spread constraint over `server_count` servers: 2–4 domains with ids
+/// dealt round-robin, cap 1 or 2, blast penalty 0 or 0.3, and — half the
+/// time — the last one or two ids left out of the map (unmapped servers
+/// are never capped).
+SpreadConfig random_spread(util::Rng& rng, int server_count) {
+  SpreadConfig spread;
+  spread.enabled = true;
+  spread.max_vms_per_domain = static_cast<int>(rng.uniform_int(1, 2));
+  spread.blast_penalty = rng.bernoulli(0.5) ? 0.3 : 0.0;
+  spread.domain_count = static_cast<int>(rng.uniform_int(2, 4));
+  int mapped = server_count;
+  if (rng.bernoulli(0.5)) {
+    mapped = std::max(0, server_count - static_cast<int>(rng.uniform_int(1, 2)));
+  }
+  for (int s = 0; s < mapped; ++s) {
+    spread.domain_of_server.push_back(s % spread.domain_count);
+  }
+  return spread;
+}
+
 /// Full-result equality. The incremental planner relabels its successful
 /// primary results kIncremental; everything else must match verbatim.
 void expect_identical(const AllocationResult& inc,
@@ -113,12 +137,11 @@ TEST_P(IncrementalParity, DriftFreeSnapshotsPlaceIdentically) {
   }
 }
 
-TEST_P(IncrementalParity, ChurnKeepsParityAndEnergyWithinBound) {
-  util::Rng rng(GetParam() ^ 0xc0ffeeULL);
-  ProactiveConfig config;
-  config.alpha = rng.uniform(0.0, 1.0);
-  const int server_count = static_cast<int>(rng.uniform_int(4, 12));
-
+/// Commits, releases, crashes and repairs against one FleetState for 40
+/// rounds, planning a random request each round and comparing it with the
+/// reference over the fleet's own up-server view.
+void churn_parity(util::Rng& rng, const ProactiveConfig& config,
+                  int server_count) {
   FleetState fleet(db(), config);
   std::vector<ServerState> init;
   for (int s = 0; s < server_count; ++s) {
@@ -189,22 +212,38 @@ TEST_P(IncrementalParity, ChurnKeepsParityAndEnergyWithinBound) {
       fleet.deallocate(r.server_id, r.profile);
       --mirror[r.server_id].of(r.profile);
     }
-    // Occasional crash / repair churn.
+    // Occasional crash / repair churn: one server, or with spread on a
+    // whole failure domain at once.
     if (rng.bernoulli(0.15)) {
       const int victim =
           static_cast<int>(rng.uniform_int(0, server_count - 1));
+      std::vector<int> members = {victim};
+      if (config.spread.enabled) {
+        const int domain = config.spread.domain_of(victim);
+        for (int s = 0; s < server_count; ++s) {
+          if (s != victim && domain >= 0 &&
+              config.spread.domain_of(s) == domain) {
+            members.push_back(s);
+          }
+        }
+      }
       if (down[victim]) {
-        fleet.repair(victim);
-        down[victim] = false;
-        mirror[victim] = ClassCounts{};
-      } else if (fleet.up_count() > 1) {
-        fleet.crash(victim);
-        down[victim] = true;
-        mirror[victim] = ClassCounts{};
-        // Its residents died with it — the serve loop re-admits them as
-        // fresh requests; here they simply leave the release pool.
-        std::erase_if(residents, [victim](const Resident& r) {
-          return r.server_id == victim;
+        fleet.repair_domain(members);
+        for (const int id : members) {
+          down[id] = false;
+          mirror[id] = ClassCounts{};
+        }
+      } else if (fleet.up_count() > members.size()) {
+        fleet.crash_domain(members);
+        for (const int id : members) {
+          down[id] = true;
+          mirror[id] = ClassCounts{};
+        }
+        // Their residents died with them — the serve loop re-admits them
+        // as fresh requests; here they simply leave the release pool.
+        std::erase_if(residents, [&members](const Resident& r) {
+          return std::find(members.begin(), members.end(), r.server_id) !=
+                 members.end();
         });
       }
     }
@@ -216,6 +255,44 @@ TEST_P(IncrementalParity, ChurnKeepsParityAndEnergyWithinBound) {
               0.01);
   }
   EXPECT_EQ(inc_energy, batch_energy);
+}
+
+TEST_P(IncrementalParity, ChurnKeepsParityAndEnergyWithinBound) {
+  util::Rng rng(GetParam() ^ 0xc0ffeeULL);
+  ProactiveConfig config;
+  config.alpha = rng.uniform(0.0, 1.0);
+  const int server_count = static_cast<int>(rng.uniform_int(4, 12));
+  churn_parity(rng, config, server_count);
+}
+
+TEST_P(IncrementalParity, SpreadSnapshotsPlaceIdentically) {
+  util::Rng rng(GetParam() ^ 0x5b7eadULL);
+  for (int round = 0; round < 20; ++round) {
+    ProactiveConfig config;
+    config.alpha = rng.uniform(0.0, 1.0);
+    if (rng.bernoulli(0.25)) {
+      config.degrade_to_first_fit = true;
+    }
+    const int server_count = static_cast<int>(rng.uniform_int(1, 10));
+    config.spread = random_spread(rng, server_count);
+    const auto servers = random_servers(rng, server_count);
+    const auto vms = random_request(rng);
+
+    FleetState fleet(db(), config);
+    fleet.reset(servers);
+    const testing::ReferenceProactiveAllocator batch(db(), config);
+    expect_identical(fleet.plan(vms), batch.allocate(vms, servers));
+  }
+}
+
+TEST_P(IncrementalParity, SpreadChurnKeepsParity) {
+  util::Rng rng(GetParam() ^ 0xd0a1ULL);
+  ProactiveConfig config;
+  config.alpha = rng.uniform(0.0, 1.0);
+  config.degrade_to_first_fit = rng.bernoulli(0.5);
+  const int server_count = static_cast<int>(rng.uniform_int(4, 12));
+  config.spread = random_spread(rng, server_count);
+  churn_parity(rng, config, server_count);
 }
 
 TEST_P(IncrementalParity, RepeatedPlansAreDeterministic) {

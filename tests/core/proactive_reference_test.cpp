@@ -18,10 +18,10 @@
 /// per-server reference scorer (testing/reference_pa.hpp): grouped,
 /// prefix-incremental, pruned searches must return the same *bits* —
 /// placements, exact score doubles, the number of partitions examined,
-/// and the degradation record. Each sweep runs its config on two kinds of span:
-/// ascending ids (the cached-FleetState path) and shuffled ids (the
-/// grouped batch path); the `pa.fleet.resyncs` counter proves which path
-/// answered.
+/// and the degradation record. Each sweep runs its config on two kinds of
+/// span: ascending ids and shuffled ids. Both build the allocator's fleet
+/// with one reset (`pa.fleet.resyncs`); the shuffled one makes its order
+/// the tie-break order, as the reference scans it.
 
 namespace aeva::core {
 namespace {
@@ -93,8 +93,8 @@ std::vector<ServerState> random_servers(util::Rng& rng) {
   return servers;
 }
 
-/// The same servers in an order whose ids are not ascending, so the
-/// allocator cannot sync its cached fleet and runs the batch search.
+/// The same servers in an order whose ids are not ascending: ties must
+/// break by span position, not by id.
 std::vector<ServerState> shuffled(std::vector<ServerState> servers,
                                   util::Rng& rng) {
   rng.shuffle(servers);
@@ -115,21 +115,18 @@ std::shared_ptr<obs::Session> obs_session() {
 }
 
 /// Runs one call through a fresh allocator and the reference, compares
-/// the bits, and checks which path answered: an ascending span builds the
-/// cached fleet (one resync) unless spread is armed; a shuffled span
-/// never touches it.
+/// the bits, and checks that the fleet was built by exactly one reset —
+/// positional for a shuffled span.
 void expect_matches(const ProactiveConfig& base,
                     const std::vector<VmRequest>& vms,
-                    const std::vector<ServerState>& span, bool ascending,
-                    std::uint64_t seed) {
+                    const std::vector<ServerState>& span, std::uint64_t seed) {
   ProactiveConfig config = base;
   config.obs = obs_session();
   const ProactiveAllocator allocator(db(), config);
   const testing::ReferenceProactiveAllocator reference(db(), base);
   expect_identical(allocator.allocate(vms, span),
                    reference.allocate(vms, span), seed);
-  EXPECT_EQ(config.obs->metrics().counter("pa.fleet.resyncs").value(),
-            ascending && !base.spread.enabled ? 1u : 0u)
+  EXPECT_EQ(config.obs->metrics().counter("pa.fleet.resyncs").value(), 1u)
       << "seed " << seed;
 }
 
@@ -138,8 +135,8 @@ void sweep_seeds(const ProactiveConfig& base, std::uint64_t first_seed) {
     util::Rng rng(seed);
     const std::vector<VmRequest> vms = random_request(rng);
     const std::vector<ServerState> servers = random_servers(rng);
-    expect_matches(base, vms, servers, true, seed);
-    expect_matches(base, vms, shuffled(servers, rng), false, seed);
+    expect_matches(base, vms, servers, seed);
+    expect_matches(base, vms, shuffled(servers, rng), seed);
   }
 }
 
@@ -199,9 +196,9 @@ TEST(ProactiveReference, MatchesReferenceOnEdpGoal) {
 }
 
 TEST(ProactiveReference, MatchesReferenceWithSpread) {
-  // Spread keeps every call on the batch search, whose groups then split
-  // by failure domain: ids cycle through three domains, at most two of
-  // the request's VMs per domain, plus the blast penalty.
+  // The fleet's groups split by failure domain: ids cycle through three
+  // domains, at most two of the request's VMs per domain, plus the blast
+  // penalty.
   ProactiveConfig base;
   base.alpha = 0.5;
   base.spread.enabled = true;
@@ -224,9 +221,10 @@ TEST(ProactiveReference, RejectsParallelSearchThreads) {
 
 TEST(ProactiveParallel, ConcurrentAllocateCallsStayDeterministic) {
   // allocate() is const and re-entrant: hammer one allocator from several
-  // parallel callers with different inputs. Calls contend for the cached
-  // fleet (a loser runs the batch search) and odd threads pass shuffled
-  // spans; every call must still produce the reference bits for its input.
+  // parallel callers with different inputs. Calls take turns on the one
+  // fleet, which flips between spans (odd threads pass shuffled ones, so
+  // its tie-break order flips too); every call must still produce the
+  // reference bits for its input.
   ProactiveConfig base;
   base.alpha = 0.5;
   const ProactiveAllocator shared(db(), base);

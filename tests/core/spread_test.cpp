@@ -191,7 +191,8 @@ TEST(SpreadProactive, NonBindingSpreadMatchesSpreadFreeSearch) {
 
 TEST(SpreadProactive, OptimizedPathsMatchSerialReference) {
   // The spread quota and penalty must not break the reference/optimized
-  // equivalence: grouped, pruned batch search vs. the plain scorer.
+  // equivalence: the grouped, pruned FleetState search vs. the plain
+  // scorer.
   const auto vms = make_request({ProfileClass::kCpu, ProfileClass::kCpu,
                                  ProfileClass::kMem, ProfileClass::kMem,
                                  ProfileClass::kIo});
@@ -224,6 +225,11 @@ TEST(SpreadProactive, RejectsBadSpreadConfig) {
   config.spread.max_vms_per_domain = 1;
   config.spread.domain_count = 0;
   EXPECT_THROW(ProactiveAllocator(db(), config), std::invalid_argument);
+  config.spread.domain_count = 2;
+  config.spread.domain_of_server = {0, -1, 2};  // 2 is past the last domain
+  EXPECT_THROW(ProactiveAllocator(db(), config), std::invalid_argument);
+  config.spread.domain_of_server = {0, -1, 1};  // -1: unmapped
+  EXPECT_NO_THROW(ProactiveAllocator(db(), config));
 }
 
 // --- First-fit and the degradation leg -------------------------------------
@@ -338,10 +344,25 @@ TEST(SpreadBaselines, VectorFitHonorsQuota) {
 
 // --- FleetState ------------------------------------------------------------
 
-TEST(SpreadFleetState, RejectsSpreadEnabledConfig) {
+TEST(SpreadFleetState, PlansUnderTheCapAndRejectsTooWideRequests) {
   ProactiveConfig config;
   config.spread = paired_domains(4, 1);
-  EXPECT_THROW(FleetState(db(), config), std::invalid_argument);
+  FleetState fleet(db(), config);
+  fleet.reset(empty_servers(4));
+  const auto pair = make_request({ProfileClass::kCpu, ProfileClass::kCpu});
+  const AllocationResult placed = fleet.plan(pair);
+  ASSERT_TRUE(placed.complete);
+  ASSERT_EQ(placed.placements.size(), 2u);
+  EXPECT_NE(placed.placements[0].server_id / 2,
+            placed.placements[1].server_id / 2)
+      << "two VMs share a domain under cap 1";
+
+  const auto wide = make_request({ProfileClass::kCpu, ProfileClass::kCpu,
+                                  ProfileClass::kCpu});
+  const AllocationResult rejected = fleet.plan(wide);
+  EXPECT_FALSE(rejected.complete);
+  EXPECT_EQ(rejected.outcome.reason, RejectReason::kSpreadInfeasible);
+  EXPECT_EQ(rejected.partitions_examined, 0u);
 }
 
 TEST(SpreadFleetState, DomainGranularCrashAndRepair) {

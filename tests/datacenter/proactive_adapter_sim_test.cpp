@@ -1,14 +1,13 @@
 /// \file proactive_adapter_sim_test.cpp
-/// Simulator-level differential test of ProactiveAllocator's incremental
-/// path under faults. PA-1 without spread runs on a 200-server rack/PDU/ToR
-/// fleet with sampled and scripted server crashes, PDU feed faults and ToR
-/// isolations, checkpoint-restart recovery and a snapshot hook. The
-/// default allocator (a cached FleetState synced to the simulator's fleet
-/// view by crash/repair/allocate/deallocate deltas) and the plain reference
-/// scorer (testing/reference_pa.hpp) must produce bit-identical SimMetrics and
-/// bit-identical encoded snapshots. With spread on, the allocator takes the
-/// batch search, so this is the run that exercises the incremental path's
-/// crash and repair sync.
+/// Simulator-level differential test of ProactiveAllocator under faults.
+/// PA-1 runs on a 200-server rack/PDU/ToR fleet with sampled and scripted
+/// server crashes, PDU feed faults and ToR isolations, checkpoint-restart
+/// recovery and a snapshot hook — once without spread and once with rack
+/// spread (the shape of the `sim_faults_1k` benchmark workload). The
+/// default allocator (a FleetState synced to the simulator's fleet view by
+/// crash/repair/allocate/deallocate deltas) and the plain reference scorer
+/// (testing/reference_pa.hpp) must produce bit-identical SimMetrics and
+/// bit-identical encoded snapshots.
 
 #include <gtest/gtest.h>
 
@@ -136,8 +135,9 @@ void expect_identical(const SimMetrics& a, const SimMetrics& b) {
 
 class ProactiveAdapterSim : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ProactiveAdapterSim, FaultyRunMatchesReferenceScorer) {
-  const std::uint64_t seed = GetParam();
+/// Runs PA-1 under `spread` through the allocator and the reference and
+/// compares metrics and snapshots bit for bit.
+void expect_parity(std::uint64_t seed, bool rack_spread) {
   const Topology topo =
       make_synthetic_topology(SyntheticTopologyConfig{kServers, 10, 2, 1});
   const PreparedWorkload workload = busy_workload(seed);
@@ -145,11 +145,14 @@ TEST_P(ProactiveAdapterSim, FaultyRunMatchesReferenceScorer) {
   core::ProactiveConfig config;
   config.alpha = 1.0;  // PA-1
   config.degrade_to_first_fit = seed % 2 == 0;
-  core::ProactiveConfig incremental = config;
+  if (rack_spread) {
+    config.spread = spread_by_rack(topo, 2);
+  }
+  core::ProactiveConfig observed = config;
   obs::ObsConfig obs_on;
   obs_on.enabled = true;
-  incremental.obs = obs::Session::create(obs_on);
-  const core::ProactiveAllocator allocator(testing::shared_db(), incremental);
+  observed.obs = obs::Session::create(obs_on);
+  const core::ProactiveAllocator allocator(testing::shared_db(), observed);
   const testing::ReferenceProactiveAllocator reference(testing::shared_db(),
                                                        config);
 
@@ -168,16 +171,24 @@ TEST_P(ProactiveAdapterSim, FaultyRunMatchesReferenceScorer) {
     EXPECT_TRUE(got.snapshots[i] == want.snapshots[i]) << "snapshot " << i;
   }
 
-  // The incremental path answered: crashes, repairs and ToR returns with
-  // residents synced by deltas, and the cached fleet was rebuilt only on
-  // the first call and for what deltas cannot express (a powered but
-  // empty server returning from a ToR isolation).
-  obs::MetricsRegistry& m = incremental.obs->metrics();
+  // Crashes, repairs and ToR returns with residents synced by deltas:
+  // the fleet was rebuilt only on the first call and for what deltas
+  // cannot express (a powered but empty server returning from a ToR
+  // isolation).
+  obs::MetricsRegistry& m = observed.obs->metrics();
   const std::uint64_t calls = m.counter("pa.allocate.calls").value();
   const std::uint64_t resyncs = m.counter("pa.fleet.resyncs").value();
   EXPECT_GT(calls, 500u);
   EXPECT_GE(resyncs, 1u);
   EXPECT_LT(resyncs * 10, calls);
+}
+
+TEST_P(ProactiveAdapterSim, FaultyRunMatchesReferenceScorer) {
+  expect_parity(GetParam(), false);
+}
+
+TEST_P(ProactiveAdapterSim, RackSpreadRunMatchesReferenceScorer) {
+  expect_parity(GetParam(), true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProactiveAdapterSim,

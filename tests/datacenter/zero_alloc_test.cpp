@@ -13,10 +13,14 @@
 ///
 /// Configuration deliberately mirrors the bench's steady-state leg:
 /// observability OFF (trace spans allocate strings when a session is
-/// attached), failures/migration/snapshots OFF. Two allocators run it:
-/// FirstFit, and PA-1, whose default path plans on a cached FleetState
+/// attached), failures/migration/snapshots OFF. Three allocators run it:
+/// FirstFit, PA-1, and PA-1 with rack spread; PA plans on a FleetState
 /// synced to the simulator's fleet view and writes into the caller's
 /// reused AllocationResult.
+///
+/// Every replaceable allocation function is overridden — the nothrow
+/// forms too — so every allocation is counted and every block goes back
+/// to the allocator family that made it.
 
 #include "datacenter/simulator.hpp"
 
@@ -29,6 +33,7 @@
 
 #include "core/first_fit.hpp"
 #include "core/proactive.hpp"
+#include "datacenter/topology.hpp"
 #include "testing/shared_db.hpp"
 #include "trace/prepare.hpp"
 #include "util/rng.hpp"
@@ -52,10 +57,18 @@ void* checked_malloc(std::size_t size) {
   return p;
 }
 
-void* checked_aligned(std::size_t size, std::size_t align) {
+void* aligned_or_null(std::size_t size, std::size_t align) noexcept {
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
                      size != 0 ? size : 1) != 0) {
+    return nullptr;
+  }
+  return p;
+}
+
+void* checked_aligned(std::size_t size, std::size_t align) {
+  void* p = aligned_or_null(size, align);
+  if (p == nullptr) {
     throw std::bad_alloc();
   }
   return p;
@@ -81,6 +94,24 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   note_allocation();
   return checked_aligned(size, static_cast<std::size_t>(align));
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  note_allocation();
+  return std::malloc(size != 0 ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  note_allocation();
+  return std::malloc(size != 0 ? size : 1);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  note_allocation();
+  return aligned_or_null(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  note_allocation();
+  return aligned_or_null(size, static_cast<std::size_t>(align));
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -91,6 +122,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -182,6 +225,18 @@ TEST(ZeroAllocEventLoop, WarmWindowPerformsNoHeapAllocations) {
 TEST(ZeroAllocEventLoop, ProactiveWarmWindowPerformsNoHeapAllocations) {
   core::ProactiveConfig config;
   config.alpha = 1.0;  // PA-1
+  const core::ProactiveAllocator allocator(testing::shared_db(), config);
+  expect_warm_window_allocation_free(steady_workload(4242, 400), allocator);
+}
+
+TEST(ZeroAllocEventLoop, RackSpreadProactiveWarmWindowPerformsNoHeapAllocations) {
+  // The simulator's 40 servers in racks of 10, at most two of a
+  // request's VMs per rack, with the blast penalty on.
+  const Topology topo =
+      make_synthetic_topology(SyntheticTopologyConfig{40, 10, 2, 1});
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+  config.spread = spread_by_rack(topo, 2, 0.3);
   const core::ProactiveAllocator allocator(testing::shared_db(), config);
   expect_warm_window_allocation_free(steady_workload(4242, 400), allocator);
 }

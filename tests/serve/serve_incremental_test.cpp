@@ -194,5 +194,47 @@ TEST(ServeIncremental, ValidationRejectsBadIncrementalConfig) {
                std::invalid_argument);
 }
 
+TEST(ServeIncremental, SpreadOracleRunMatchesExhaustiveRunExactly) {
+  // The incremental rung under a failure-domain spread constraint: three
+  // domains of two servers, two unmapped servers, one VM per domain per
+  // request and the blast penalty on — so 4-VM requests reject as
+  // spread-infeasible. With the oracle on every decision the journal must
+  // be the plain run's, byte for byte, and the shadow planner must agree
+  // with the exhaustive allocator on every decision.
+  const modeldb::ModelDatabase& db = testing::shared_db();
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const std::vector<ServeRequest> stream = busy_stream(seed);
+    ServeConfig plain_config = busy_config(seed);
+    core::SpreadConfig& spread = plain_config.proactive.spread;
+    spread.enabled = true;
+    spread.max_vms_per_domain = 1;
+    spread.domain_count = 3;
+    spread.domain_of_server = {0, 0, 1, 1, 2, 2};
+    spread.blast_penalty = 0.3;
+    const AllocationService plain(db, plain_config);
+    ServeConfig checked_config = plain_config;
+    checked_config.incremental.enabled = true;
+    checked_config.incremental.oracle_every_decisions = 1;
+    const AllocationService checked(db, checked_config);
+
+    const ServeResult reference = plain.run(stream);
+    const ServeResult shadowed = checked.run(stream);
+    const std::string journal = render_decision_log(reference.log);
+    ASSERT_EQ(journal, render_decision_log(shadowed.log)) << "seed " << seed;
+    EXPECT_NE(journal.find("spread"), std::string::npos) << "seed " << seed;
+    EXPECT_GT(shadowed.metrics.oracle_checks, 0u) << "seed " << seed;
+    EXPECT_EQ(shadowed.metrics.oracle_divergences, 0u) << "seed " << seed;
+    EXPECT_EQ(shadowed.metrics.fleet_resyncs, 0u) << "seed " << seed;
+
+    ServeConfig periodic_config = plain_config;
+    periodic_config.incremental.enabled = true;
+    periodic_config.incremental.oracle_every_s = 0.5;
+    const ServeResult periodic = AllocationService(db, periodic_config).run(stream);
+    EXPECT_GT(periodic.metrics.decisions_incremental, 0u) << "seed " << seed;
+    EXPECT_GT(periodic.metrics.oracle_checks, 0u) << "seed " << seed;
+    EXPECT_EQ(periodic.metrics.oracle_divergences, 0u) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace aeva::serve

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "core/first_fit.hpp"
 #include "core/proactive.hpp"
+#include "datacenter/simulator.hpp"
+#include "obs/session.hpp"
+#include "testing/reference_pa.hpp"
 #include "testing/shared_db.hpp"
 #include "thermal/thermal_guard.hpp"
 #include "thermal/thermal_model.hpp"
+#include "trace/prepare.hpp"
+#include "util/rng.hpp"
 
 namespace aeva::thermal {
 namespace {
@@ -163,6 +169,65 @@ TEST_F(GuardFixture, RejectsBadConstruction) {
                    std::make_unique<core::ProactiveAllocator>(db_, pc), db_,
                    map_, bad),
                std::invalid_argument);
+}
+
+TEST(GuardedSimulation, ProactiveMatchesReferenceOnCoolestFirstSpans) {
+  // The guard hands its inner allocator the cool servers coolest-first,
+  // and PA breaks ties toward the front of that list: TG(PA-1) and
+  // TG(reference) must run the same simulation bit for bit.
+  const modeldb::ModelDatabase& db = testing::shared_db();
+  util::Rng rng(2027);
+  trace::PreparedWorkload workload;
+  double t = 0.0;
+  for (long long id = 1; id <= 150; ++id) {
+    trace::JobRequest job;
+    job.id = id;
+    job.submit_s = t;
+    job.profile = static_cast<ProfileClass>(rng.uniform_int(0, 2));
+    job.vm_count = static_cast<int>(rng.uniform_int(1, 4));
+    job.runtime_scale = rng.uniform(0.4, 2.5);
+    job.deadline_s = rng.uniform(3000.0, 20000.0);
+    job.max_exec_stretch = rng.uniform(1.5, 3.0);
+    workload.total_vms += job.vm_count;
+    workload.vm_mix.of(job.profile) += job.vm_count;
+    workload.jobs.push_back(job);
+    t += rng.exponential(1.0 / 40.0);
+  }
+  datacenter::CloudConfig cloud;
+  cloud.server_count = 16;
+  const datacenter::Simulator sim(db, cloud);
+  const ThermalMap map(cloud.server_count, ThermalConfig{});
+  GuardConfig guard_config;
+  guard_config.soft_limit_c = 26.0;
+
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+  core::ProactiveConfig observed = config;
+  obs::ObsConfig obs_on;
+  obs_on.enabled = true;
+  observed.obs = obs::Session::create(obs_on);
+  const ThermalGuardAllocator pa(
+      std::make_unique<core::ProactiveAllocator>(db, observed), db, map,
+      guard_config);
+  const ThermalGuardAllocator reference(
+      std::make_unique<testing::ReferenceProactiveAllocator>(db, config), db,
+      map, guard_config);
+
+  const datacenter::SimMetrics got = sim.run(workload, pa);
+  const datacenter::SimMetrics want = sim.run(workload, reference);
+  EXPECT_EQ(got.makespan_s, want.makespan_s);
+  EXPECT_EQ(got.energy_j, want.energy_j);
+  EXPECT_EQ(got.sla_violation_pct, want.sla_violation_pct);
+  EXPECT_EQ(got.vms, want.vms);
+  EXPECT_EQ(got.sla_violations, want.sla_violations);
+  EXPECT_EQ(got.mean_response_s, want.mean_response_s);
+  EXPECT_EQ(got.mean_wait_s, want.mean_wait_s);
+  EXPECT_EQ(got.mean_busy_servers, want.mean_busy_servers);
+  EXPECT_EQ(got.peak_busy_servers, want.peak_busy_servers);
+  EXPECT_EQ(got.servers_powered, want.servers_powered);
+  EXPECT_EQ(got.rejects_by_reason, want.rejects_by_reason);
+  // The reordered spans rebuilt the fleet in their own order.
+  EXPECT_GT(observed.obs->metrics().counter("pa.fleet.resyncs").value(), 1u);
 }
 
 }  // namespace
