@@ -7,14 +7,21 @@
 /// topologies must satisfy the structural invariants the class documents
 /// — dense ids, total server→domain maps, ascending member spans — and
 /// must survive a write_topology → parse_topology round trip with the
-/// same rack declarations.
+/// same rack declarations. The rack spread derived from an accepted
+/// topology must pass core::SpreadConfig::validate() — its domain ids are
+/// the dense rack ids — and first-fit under it must place one VM per rack.
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/first_fit.hpp"
 #include "datacenter/topology.hpp"
 
 namespace {
@@ -77,6 +84,38 @@ void check_invariants(const aeva::datacenter::Topology& topo) {
   }
 }
 
+/// The topology → spread bridge: every domain id in range, so the
+/// allocators' per-domain tallies stay inside their bounds.
+void check_spread(const aeva::datacenter::Topology& topo) {
+  if (topo.empty()) {
+    return;
+  }
+  aeva::core::SpreadConfig spread = aeva::datacenter::spread_by_rack(topo, 1);
+  try {
+    spread.validate();
+  } catch (const std::invalid_argument&) {
+    expect(false, "rack spread of an accepted topology validates");
+  }
+  const int width = std::min(topo.rack_count(), 4);
+  std::vector<aeva::core::VmRequest> vms(static_cast<std::size_t>(width));
+  for (int i = 0; i < width; ++i) {
+    vms[static_cast<std::size_t>(i)].id = i + 1;
+  }
+  std::vector<aeva::core::ServerState> servers;
+  for (int s = 0; s < topo.server_count(); ++s) {
+    servers.push_back(aeva::core::ServerState{s, {}, false, 0});
+  }
+  aeva::core::FirstFitAllocator ff(1);
+  ff.set_spread(std::move(spread));
+  const aeva::core::AllocationResult result = ff.allocate(vms, servers);
+  expect(result.complete, "one VM per rack fits an empty fleet");
+  std::set<int> racks;
+  for (const aeva::core::Placement& p : result.placements) {
+    expect(racks.insert(topo.rack_of(p.server_id)).second,
+           "spread cap of one VM per rack holds");
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -91,6 +130,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   check_invariants(topo);
+  check_spread(topo);
 
   // Round trip: the writer's output must re-parse to the same structure.
   std::ostringstream out;

@@ -37,8 +37,12 @@ class SlotFitAllocator final : public Allocator {
 
   /// Per-job failure-domain spread constraint (docs/RESILIENCE.md,
   /// "Correlated failure domains"); a disabled config is inert and the
-  /// scan stays bit-identical to the spread-free baseline.
-  void set_spread(SpreadConfig spread) { spread_ = std::move(spread); }
+  /// scan stays bit-identical to the spread-free baseline. Throws
+  /// std::invalid_argument when SpreadConfig::validate() does.
+  void set_spread(SpreadConfig spread) {
+    spread.validate();
+    spread_ = std::move(spread);
+  }
 
   [[nodiscard]] AllocationResult allocate(
       std::span<const VmRequest> vms,
@@ -68,7 +72,10 @@ class RandomFitAllocator final : public Allocator {
   /// As SlotFitAllocator::set_spread. The quota filter narrows the
   /// candidate set *before* the uniform pick, so the RNG stream still
   /// advances once per VM.
-  void set_spread(SpreadConfig spread) { spread_ = std::move(spread); }
+  void set_spread(SpreadConfig spread) {
+    spread.validate();
+    spread_ = std::move(spread);
+  }
 
   [[nodiscard]] AllocationResult allocate(
       std::span<const VmRequest> vms,
@@ -110,7 +117,10 @@ class VectorFitAllocator final : public Allocator {
   [[nodiscard]] static VectorFitAllocator from_registry(double overcommit);
 
   /// As SlotFitAllocator::set_spread.
-  void set_spread(SpreadConfig spread) { spread_ = std::move(spread); }
+  void set_spread(SpreadConfig spread) {
+    spread.validate();
+    spread_ = std::move(spread);
+  }
 
   [[nodiscard]] AllocationResult allocate(
       std::span<const VmRequest> vms,

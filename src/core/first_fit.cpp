@@ -66,11 +66,8 @@ void FirstFitAllocator::allocate_into(std::span<const VmRequest> vms,
   }
   // This request's VMs per failure domain (spread constraint only;
   // unmapped servers stay unconstrained).
-  thread_local std::vector<int> domain_used;
-  const bool spread_on = spread_.enabled;
-  if (spread_on) {
-    domain_used.assign(static_cast<std::size_t>(spread_.domain_count), 0);
-  }
+  thread_local DomainTally tally;
+  tally.reset(spread_);
 
   for (const VmRequest& vm : vms) {
     bool placed = false;
@@ -78,20 +75,12 @@ void FirstFitAllocator::allocate_into(std::span<const VmRequest> vms,
       if (free_slots[s] <= 0) {
         continue;
       }
-      int domain = -1;
-      if (spread_on) {
-        domain = spread_.domain_of(servers[s].id);
-        if (domain >= 0 &&
-            domain_used[static_cast<std::size_t>(domain)] >=
-                spread_.max_vms_per_domain) {
-          continue;  // the request is already at its cap in this domain
-        }
+      if (tally.blocked(servers[s].id)) {
+        continue;  // the request is already at its cap in this domain
       }
       out.placements.push_back(Placement{vm.id, servers[s].id});
       --free_slots[s];
-      if (domain >= 0) {
-        ++domain_used[static_cast<std::size_t>(domain)];
-      }
+      tally.note(servers[s].id);
       placed = true;
       break;
     }

@@ -31,7 +31,11 @@ class FirstFitAllocator final : public Allocator {
   /// SpreadConfig::max_vms_per_domain VMs of one request per domain,
   /// with structurally-too-wide requests rejected as kSpreadInfeasible.
   /// Disabled configs are inert (bit-identical to the spread-free scan).
-  void set_spread(SpreadConfig spread) { spread_ = std::move(spread); }
+  /// Throws std::invalid_argument when SpreadConfig::validate() does.
+  void set_spread(SpreadConfig spread) {
+    spread.validate();
+    spread_ = std::move(spread);
+  }
   [[nodiscard]] const SpreadConfig& spread() const noexcept {
     return spread_;
   }

@@ -20,6 +20,10 @@ struct ProactiveAllocator::SearchRuntime {
   /// Built by the first call, and again by the call after one that threw
   /// (a throw can leave the fleet half-rebuilt, so it is dropped).
   std::optional<FleetState> fleet AEVA_GUARDED_BY(mutex);
+  /// The view the fleet mirrors and the last of its deltas applied; 0
+  /// (never minted) while the fleet follows no view.
+  std::uint64_t view_id AEVA_GUARDED_BY(mutex) = 0;
+  std::uint64_t sequence AEVA_GUARDED_BY(mutex) = 0;
 };
 
 ProactiveAllocator::ProactiveAllocator(const modeldb::ModelDatabase& db,
@@ -56,6 +60,7 @@ ProactiveAllocator::ProactiveAllocator(
     obs_.memo_hit_rate = &m.gauge("pa.memo.hit_rate");
     obs_.memo_entries = &m.gauge("pa.memo.entries");
     obs_.fleet_resyncs = &m.counter("pa.fleet.resyncs");
+    obs_.fleet_walks = &m.counter("pa.fleet.walks");
   }
 }
 
@@ -78,6 +83,20 @@ AllocationResult ProactiveAllocator::allocate(
 void ProactiveAllocator::allocate_into(std::span<const VmRequest> vms,
                                        std::span<const ServerState> servers,
                                        AllocationResult& out) const {
+  decide(vms, servers, nullptr, out);
+}
+
+void ProactiveAllocator::allocate_into(std::span<const VmRequest> vms,
+                                       std::span<const ServerState> servers,
+                                       const ViewDelta& delta,
+                                       AllocationResult& out) const {
+  decide(vms, servers, &delta, out);
+}
+
+void ProactiveAllocator::decide(std::span<const VmRequest> vms,
+                                std::span<const ServerState> servers,
+                                const ViewDelta* delta,
+                                AllocationResult& out) const {
   SearchRuntime& rt = *runtime_;
   const util::MutexGuard lock(rt.mutex);
   if (!rt.fleet.has_value()) {
@@ -90,12 +109,27 @@ void ProactiveAllocator::allocate_into(std::span<const VmRequest> vms,
   }
   FleetState& fleet = *rt.fleet;
   // An empty request completes, and one wider than the spread constraint
-  // admits rejects, before any search: neither syncs the fleet.
+  // admits rejects, before any search: neither needs the fleet current,
+  // but a delta that continues the fleet's view is applied all the same.
   const bool searches =
       !vms.empty() && config_.spread.feasible_width(vms.size());
+  const bool continues = delta != nullptr && delta->view_id != 0 &&
+                         delta->view_id == rt.view_id &&
+                         delta->sequence == rt.sequence + 1;
   try {
-    const SyncOutcome synced =
-        searches ? fleet.sync(servers) : SyncOutcome::kDeltas;
+    SyncOutcome synced = SyncOutcome::kDeltas;
+    bool walked = false;
+    if (continues) {
+      synced = fleet.sync(servers, delta->changed_ids);
+      rt.sequence = delta->sequence;
+    } else if (searches) {
+      synced = fleet.sync(servers);
+      walked = true;
+      rt.view_id = delta != nullptr ? delta->view_id : 0;
+      rt.sequence = delta != nullptr ? delta->sequence : 0;
+    } else if (delta == nullptr) {
+      rt.view_id = 0;  // a caller without deltas: follow no view
+    }
     fleet.plan_into(vms, out);
     if (out.outcome.path == AllocationPath::kIncremental) {
       out.outcome.path = AllocationPath::kPrimary;  // the allocator's own leg
@@ -107,6 +141,9 @@ void ProactiveAllocator::allocate_into(std::span<const VmRequest> vms,
       obs_.calls->add();
       obs_.rejected->add();
       return;
+    }
+    if (walked) {
+      obs_.fleet_walks->add();
     }
     if (synced == SyncOutcome::kReset) {
       obs_.fleet_resyncs->add();
@@ -123,6 +160,7 @@ void ProactiveAllocator::allocate_into(std::span<const VmRequest> vms,
                       : 0.0);
   } catch (...) {
     rt.fleet.reset();
+    rt.view_id = 0;
     throw;
   }
 }

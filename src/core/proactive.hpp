@@ -19,8 +19,12 @@
 /// equivalence groups and a score memo that live across calls. Each call
 /// syncs the fleet to its server span with deltas (one reset() when the
 /// span changes in a way deltas cannot express, such as a new order) and
-/// plans on it, so a call costs one linear compare walk over the span
-/// plus a fleet-size-independent plan.
+/// plans on it. A call that carries a ViewDelta (types.hpp) continuing
+/// the view the fleet was last synced to applies only the changed ids,
+/// so it costs O(changed servers) plus a fleet-size-independent plan —
+/// the simulator's path. Any other call — the first, one from another
+/// view or after a missed delta, one after a throw, one without a delta
+/// (the decorators' path) — pays one linear compare walk over the span.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,6 +136,17 @@ class ProactiveAllocator final : public Allocator {
                      std::span<const ServerState> servers,
                      AllocationResult& out) const override;
 
+  /// As allocate_into(), applying `delta` instead of walking `servers`
+  /// when the fleet was last synced to delta.view_id at sequence
+  /// delta.sequence − 1; otherwise one full walk, after which the fleet
+  /// follows this view. Calls that do not search (an empty request, one
+  /// too wide for the spread cap) still apply the delta, so no journal
+  /// entry is ever lost.
+  void allocate_into(std::span<const VmRequest> vms,
+                     std::span<const ServerState> servers,
+                     const ViewDelta& delta,
+                     AllocationResult& out) const override;
+
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const ProactiveConfig& config() const noexcept {
@@ -168,7 +183,13 @@ class ProactiveAllocator final : public Allocator {
     obs::Gauge* memo_hit_rate = nullptr;
     obs::Gauge* memo_entries = nullptr;
     obs::Counter* fleet_resyncs = nullptr;
+    obs::Counter* fleet_walks = nullptr;
   };
+
+  /// Both allocate_into() overloads: `delta` is null for the plain one.
+  void decide(std::span<const VmRequest> vms,
+              std::span<const ServerState> servers, const ViewDelta* delta,
+              AllocationResult& out) const;
 
   /// Flushes one call's `pa.*` search and outcome metrics. Callers guard
   /// on `obs_.calls` (observability on) and skip gathering the arguments

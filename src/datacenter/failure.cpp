@@ -307,6 +307,148 @@ void FailureSchedule::restore(const State& state) {
 
 // --- scripted-trace I/O -----------------------------------------------------
 
+// --- WindowDeadlines ---------------------------------------------------------
+
+namespace {
+
+/// Heap order: the earliest time on top, ties by ascending id.
+struct Later {
+  template <class Entry>
+  bool operator()(const Entry& a, const Entry& b) const {
+    return a.time > b.time || (a.time == b.time && a.id > b.id);
+  }
+};
+
+}  // namespace
+
+void WindowDeadlines::reserve() {
+  const std::size_t servers = columns_.down->size();
+  windows_.reserve(2 * servers);
+  repairs_.reserve(servers);
+  heals_.reserve(columns_.tor_heal_s->size());
+  passed_.reserve(2 * servers);
+  due_.reserve(2 * servers);
+}
+
+void WindowDeadlines::on_repair(int server) {
+  push(repairs_, (*columns_.repair_s)[static_cast<std::size_t>(server)],
+       server);
+}
+
+void WindowDeadlines::on_window(int server, double until) {
+  push(windows_, until, server);
+}
+
+void WindowDeadlines::on_heal(int tor) {
+  push(heals_, (*columns_.tor_heal_s)[static_cast<std::size_t>(tor)], tor);
+}
+
+void WindowDeadlines::rebuild() {
+  windows_.clear();
+  repairs_.clear();
+  heals_.clear();
+  passed_.clear();
+  for (std::size_t s = 0; s < columns_.down->size(); ++s) {
+    const int id = static_cast<int>(s);
+    if ((*columns_.down)[s] != 0) {
+      on_repair(id);
+    }
+    if ((*columns_.degrade_until)[s] != -kInf) {
+      on_window(id, (*columns_.degrade_until)[s]);
+    }
+    if ((*columns_.brownout_until)[s] != -kInf) {
+      on_window(id, (*columns_.brownout_until)[s]);
+    }
+  }
+  for (std::size_t r = 0; r < columns_.tor_heal_s->size(); ++r) {
+    if ((*columns_.tor_heal_s)[r] != kInf) {
+      on_heal(static_cast<int>(r));
+    }
+  }
+}
+
+bool WindowDeadlines::live(Kind kind, const Entry& entry) const {
+  const auto at = static_cast<std::size_t>(entry.id);
+  switch (kind) {
+    case Kind::kWindow:
+      // Degrade and brownout ends share a heap: the expiry pass re-checks
+      // both fields, so an entry is live while either holds its time.
+      return (*columns_.degrade_until)[at] == entry.time ||
+             (*columns_.brownout_until)[at] == entry.time;
+    case Kind::kRepair:
+      return (*columns_.down)[at] != 0 &&
+             (*columns_.repair_s)[at] == entry.time;
+    case Kind::kHeal:
+      return (*columns_.tor_heal_s)[at] == entry.time;
+  }
+  return false;
+}
+
+void WindowDeadlines::push(std::vector<Entry>& heap, double time, int id) {
+  heap.push_back(Entry{time, id});
+  std::push_heap(heap.begin(), heap.end(), Later{});
+}
+
+void WindowDeadlines::pop(std::vector<Entry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), Later{});
+  heap.pop_back();
+}
+
+double WindowDeadlines::next(double now) {
+  double next = kInf;
+  while (!windows_.empty()) {
+    const Entry top = windows_.front();
+    if (live(Kind::kWindow, top)) {
+      if (top.time > now) {
+        next = top.time;
+        break;
+      }
+      passed_.push_back(top.id);  // expires at the next windows_due()
+    }
+    pop(windows_);
+  }
+  return std::min({next, earliest_live(Kind::kRepair, repairs_),
+                   earliest_live(Kind::kHeal, heals_)});
+}
+
+double WindowDeadlines::earliest_live(Kind kind, std::vector<Entry>& heap) {
+  while (!heap.empty() && !live(kind, heap.front())) {
+    pop(heap);
+  }
+  return heap.empty() ? kInf : heap.front().time;
+}
+
+void WindowDeadlines::pop_due(Kind kind, std::vector<Entry>& heap,
+                              double horizon, std::vector<int>& out) {
+  while (!heap.empty() && heap.front().time <= horizon) {
+    if (live(kind, heap.front())) {
+      out.push_back(heap.front().id);
+    }
+    pop(heap);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+const std::vector<int>& WindowDeadlines::windows_due(double horizon) {
+  due_.swap(passed_);
+  passed_.clear();
+  pop_due(Kind::kWindow, windows_, horizon, due_);
+  return due_;
+}
+
+const std::vector<int>& WindowDeadlines::repairs_due(double horizon) {
+  due_.clear();
+  pop_due(Kind::kRepair, repairs_, horizon, due_);
+  return due_;
+}
+
+const std::vector<int>& WindowDeadlines::heals_due(double horizon) {
+  due_.clear();
+  pop_due(Kind::kHeal, heals_, horizon, due_);
+  return due_;
+}
+
 namespace {
 
 double parse_field(const std::string& field, std::size_t lineno,

@@ -263,6 +263,79 @@ class FailureSchedule {
   double tor_mttr_s_ = 0.0;
 };
 
+/// The failure-window deadlines of one simulation run — repair instants,
+/// degradation/brownout window ends and ToR heal instants — kept in binary
+/// min-heaps with lazy invalidation, so the event loop finds the next
+/// deadline, and the due ones, without scanning the fleet. The caller sets
+/// a deadline field and then reports it here, which pushes (time, id); an
+/// entry stays live only while the field it names still holds that time,
+/// so overwritten and cleared deadlines drop out when they surface. The
+/// columns are the caller's per-server (and per-switch) fields, read in
+/// place: they must outlive this object.
+class WindowDeadlines {
+ public:
+  struct Columns {
+    const std::vector<std::uint8_t>* down = nullptr;
+    const std::vector<double>* repair_s = nullptr;
+    const std::vector<double>* degrade_until = nullptr;
+    const std::vector<double>* brownout_until = nullptr;
+    const std::vector<double>* tor_heal_s = nullptr;  ///< per switch
+  };
+
+  explicit WindowDeadlines(Columns columns) : columns_(columns) {}
+
+  /// Sizes every buffer for the columns once, so steady events never
+  /// allocate (callers skip it when failures are off).
+  void reserve();
+
+  /// Deadline set: the server's repair_s, its degrade_until or
+  /// brownout_until (`until`), or the switch's heal instant.
+  void on_repair(int server);
+  void on_window(int server, double until);
+  void on_heal(int tor);
+
+  /// Re-derives every entry from the columns (snapshot restore).
+  void rebuild();
+
+  /// The earliest deadline still ahead: any live repair or heal, or a
+  /// window end strictly after `now` — the value a scan of the columns
+  /// finds. A window that ended at or before `now` (opened with a zero
+  /// duration) is no event; the next windows_due() reports it.
+  [[nodiscard]] double next(double now);
+
+  /// Servers whose degrade or brownout window may have ended by
+  /// `horizon`, repairs due by `horizon`, and switches due to heal by
+  /// `horizon` — each ascending and distinct, valid until the next call
+  /// of any of the three. Callers re-check the fields.
+  [[nodiscard]] const std::vector<int>& windows_due(double horizon);
+  [[nodiscard]] const std::vector<int>& repairs_due(double horizon);
+  [[nodiscard]] const std::vector<int>& heals_due(double horizon);
+
+ private:
+  struct Entry {
+    double time = 0.0;
+    int id = 0;
+  };
+  enum class Kind { kWindow, kRepair, kHeal };
+
+  [[nodiscard]] bool live(Kind kind, const Entry& entry) const;
+  void push(std::vector<Entry>& heap, double time, int id);
+  void pop(std::vector<Entry>& heap);
+  /// Drops dead entries off the top; the live top's time, or +inf.
+  [[nodiscard]] double earliest_live(Kind kind, std::vector<Entry>& heap);
+  /// Pops every entry due by `horizon` into `out` (live ones only), then
+  /// sorts `out` and drops repeats.
+  void pop_due(Kind kind, std::vector<Entry>& heap, double horizon,
+               std::vector<int>& out);
+
+  Columns columns_;
+  std::vector<Entry> windows_;  ///< degrade and brownout ends
+  std::vector<Entry> repairs_;
+  std::vector<Entry> heals_;
+  std::vector<int> passed_;     ///< window ends next() stepped over
+  std::vector<int> due_;
+};
+
 /// Parses a scripted failure trace. Format, one event per line:
 ///
 ///     # comment (also ';')

@@ -225,7 +225,9 @@ class Simulator {
   /// Optional per-interval observer: invoked with (interval start,
   /// interval end, instantaneous power per server in Watts) for every
   /// constant-allocation interval. Used by the thermal substrate to track
-  /// inlet temperatures without coupling the simulator to it.
+  /// inlet temperatures without coupling the simulator to it. The power
+  /// vector is the simulator's live per-server column: read it during the
+  /// call, copy it to keep it.
   using IntervalObserver =
       std::function<void(double, double, const std::vector<double>&)>;
 

@@ -107,6 +107,31 @@ TEST(SpreadConfig_, DomainLookupTreatsUnmappedAsUnconstrained) {
   EXPECT_EQ(spread.domain_of(99), -1);
 }
 
+/// Domain 7 of a two-domain map: an id past the count, which would index
+/// past every allocator's per-domain tally.
+SpreadConfig domain_past_count() {
+  SpreadConfig spread;
+  spread.enabled = true;
+  spread.max_vms_per_domain = 1;
+  spread.domain_count = 2;
+  spread.domain_of_server = {0, 7};
+  return spread;
+}
+
+TEST(SpreadConfig_, ValidateRejectsDomainsOutsideTheCount) {
+  EXPECT_THROW(domain_past_count().validate(), std::invalid_argument);
+  SpreadConfig spread = domain_past_count();
+  spread.domain_of_server = {0, -2};
+  EXPECT_THROW(spread.validate(), std::invalid_argument);
+  spread.domain_of_server = {0, -1, 1};  // -1: unmapped
+  EXPECT_NO_THROW(spread.validate());
+  spread.max_vms_per_domain = 0;
+  EXPECT_THROW(spread.validate(), std::invalid_argument);
+  spread = domain_past_count();
+  spread.enabled = false;  // inert: never read, never checked
+  EXPECT_NO_THROW(spread.validate());
+}
+
 TEST(SpreadConfig_, FeasibleWidthBoundsTheRequest) {
   SpreadConfig spread = paired_domains(4, 2);  // 2 domains × cap 2 = 4
   EXPECT_TRUE(spread.feasible_width(4));
@@ -228,6 +253,9 @@ TEST(SpreadProactive, RejectsBadSpreadConfig) {
   config.spread.domain_count = 2;
   config.spread.domain_of_server = {0, -1, 2};  // 2 is past the last domain
   EXPECT_THROW(ProactiveAllocator(db(), config), std::invalid_argument);
+  config.spread = domain_past_count();
+  EXPECT_THROW(ProactiveAllocator(db(), config), std::invalid_argument);
+  EXPECT_THROW(FleetState(db(), config), std::invalid_argument);
   config.spread.domain_of_server = {0, -1, 1};  // -1: unmapped
   EXPECT_NO_THROW(ProactiveAllocator(db(), config));
 }
@@ -245,6 +273,15 @@ TEST(SpreadFirstFit, QuotaForcesOnePerDomain) {
        domain_histogram(result, allocator.spread())) {
     EXPECT_EQ(count, 1) << "domain " << domain;
   }
+}
+
+TEST(SpreadFirstFit, SetSpreadRejectsDomainPastTheCount) {
+  FirstFitAllocator allocator(1);
+  EXPECT_THROW(allocator.set_spread(domain_past_count()),
+               std::invalid_argument);
+  EXPECT_FALSE(allocator.spread().enabled) << "the bad config is not kept";
+  const auto vms = make_request({ProfileClass::kCpu, ProfileClass::kCpu});
+  EXPECT_TRUE(allocator.allocate(vms, empty_servers(2)).complete);
 }
 
 TEST(SpreadFirstFit, TooWideRequestRejectsSpreadInfeasible) {
@@ -313,6 +350,22 @@ TEST(SpreadBaselines, SlotFitHonorsQuotaAndWidth) {
     EXPECT_FALSE(rejected.complete);
     EXPECT_EQ(rejected.outcome.reason, RejectReason::kSpreadInfeasible);
   }
+}
+
+TEST(SpreadBaselines, SetSpreadRejectsDomainPastTheCount) {
+  const auto vms = make_request({ProfileClass::kCpu, ProfileClass::kCpu});
+  for (const auto policy :
+       {SlotFitAllocator::Policy::kBestFit, SlotFitAllocator::Policy::kWorstFit}) {
+    SlotFitAllocator slot(policy, 1);
+    EXPECT_THROW(slot.set_spread(domain_past_count()), std::invalid_argument);
+    EXPECT_TRUE(slot.allocate(vms, empty_servers(2)).complete);
+  }
+  RandomFitAllocator random(1234, 1);
+  EXPECT_THROW(random.set_spread(domain_past_count()), std::invalid_argument);
+  EXPECT_TRUE(random.allocate(vms, empty_servers(2)).complete);
+  VectorFitAllocator vector = VectorFitAllocator::from_registry(1.0);
+  EXPECT_THROW(vector.set_spread(domain_past_count()), std::invalid_argument);
+  EXPECT_TRUE(vector.allocate(vms, empty_servers(2)).complete);
 }
 
 TEST(SpreadBaselines, RandomFitFiltersCandidatesBeforeThePick) {

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/first_fit.hpp"
 #include "datacenter/failure.hpp"
 #include "datacenter/simulator.hpp"
 #include "datacenter/topology.hpp"
+#include "obs/session.hpp"
 #include "testing/shared_db.hpp"
 
 namespace aeva::datacenter {
@@ -389,6 +393,55 @@ TEST(Failure, RejectsInvalidConfigs) {
                std::invalid_argument);
 }
 
+TEST(WindowDeadlines, PopsLiveDeadlinesAscendingAndDropsStaleOnes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> down(4, 0);
+  std::vector<double> repair_s(4, kInf);
+  std::vector<double> degrade_until(4, -kInf);
+  std::vector<double> brownout_until(4, -kInf);
+  std::vector<double> tor_heal_s(2, kInf);
+  WindowDeadlines deadlines(WindowDeadlines::Columns{
+      &down, &repair_s, &degrade_until, &brownout_until, &tor_heal_s});
+  deadlines.reserve();
+  degrade_until[2] = 5.0;
+  deadlines.on_window(2, 5.0);
+  degrade_until[1] = 5.0;
+  deadlines.on_window(1, 5.0);
+  brownout_until[1] = 3.0;
+  deadlines.on_window(1, 3.0);
+  brownout_until[1] = 8.0;  // overwritten: the 3.0 entry goes stale
+  deadlines.on_window(1, 8.0);
+  down[3] = 1;
+  repair_s[3] = 4.0;
+  deadlines.on_repair(3);
+  tor_heal_s[1] = 6.0;
+  deadlines.on_heal(1);
+
+  EXPECT_EQ(deadlines.next(0.0), 4.0) << "the stale 3.0 window is skipped";
+  EXPECT_TRUE(deadlines.windows_due(4.0).empty());
+  EXPECT_EQ(deadlines.repairs_due(4.0), std::vector<int>({3}));
+  down[3] = 0;
+  repair_s[3] = kInf;
+  EXPECT_EQ(deadlines.next(4.0), 5.0);
+
+  // A zero-length window opened at t = 5 is no future event: next(5)
+  // steps over every window ending at 5 and the expiry pass reports them.
+  degrade_until[0] = 5.0;
+  deadlines.on_window(0, 5.0);
+  EXPECT_EQ(deadlines.next(5.0), 6.0);
+  EXPECT_EQ(deadlines.windows_due(5.0), std::vector<int>({0, 1, 2}));
+  EXPECT_EQ(deadlines.heals_due(6.0), std::vector<int>({1}));
+
+  // A restore re-derives the entries from the fields.
+  tor_heal_s[1] = kInf;
+  degrade_until = {-kInf, -kInf, -kInf, -kInf};
+  WindowDeadlines restored(WindowDeadlines::Columns{
+      &down, &repair_s, &degrade_until, &brownout_until, &tor_heal_s});
+  restored.rebuild();
+  EXPECT_EQ(restored.next(5.0), 8.0);
+  EXPECT_EQ(restored.windows_due(8.0), std::vector<int>({1}));
+}
+
 TEST(FailureSchedule, MergesScriptInTimeOrder) {
   FailureConfig config;
   config.enabled = true;
@@ -562,6 +615,70 @@ TEST(DomainFailure, TorHealReleasesTheWholeRackAtOnce) {
   EXPECT_DOUBLE_EQ(m.blast_radius_vms_mean, 2.0);
   EXPECT_EQ(m.vm_restarts, 0u);
   EXPECT_GE(m.makespan_s, solo_s() + window - 1e-6 * solo_s());
+}
+
+/// Overlapping windows on one server: a degrade overwritten by a shorter
+/// one, a brownout across both, a ToR isolation whose window a second
+/// fault extends, a crash inside the isolation (repaired while the rack
+/// is still cut off), zero-length degrade/brownout windows and a crash
+/// with zero repair time. Every next-window instant and every expiry,
+/// repair and heal must land exactly where the per-server scans of the
+/// reference loop put them: the metrics are pinned bit for bit, and the
+/// event and interval counts pin that no stale deadline adds an event.
+TEST(DomainFailure, OverlappingWindowsReplayPinnedMetrics) {
+  const Topology topo = small_topology();
+  const double S = solo_s();
+  const auto window = [](FailureKind kind, int server, double at_s,
+                         double duration_s, double magnitude) {
+    FailureEvent event;
+    event.kind = kind;
+    event.server = server;
+    event.at_s = at_s;
+    event.duration_s = duration_s;
+    event.magnitude = magnitude;
+    return event;
+  };
+  CloudConfig cloud = cloud_of(3);
+  cloud.failure.enabled = true;
+  cloud.failure.topology = &topo;
+  cloud.failure.recovery.policy = RecoveryPolicy::kCheckpointRestart;
+  cloud.failure.recovery.checkpoint_period_s = 0.05 * S;
+  obs::ObsConfig obs_on;
+  obs_on.enabled = true;
+  cloud.obs = obs::Session::create(obs_on);
+  cloud.failure.script = {
+      window(FailureKind::kDegrade, 0, 0.10 * S, 0.55 * S, 0.5),
+      window(FailureKind::kBrownout, 0, 0.20 * S, 0.40 * S, 150.0),
+      window(FailureKind::kDegrade, 0, 0.30 * S, 0.05 * S, 0.8),
+      domain_fault(FailureKind::kTorFault, 0, 0.32 * S, 0.30 * S),
+      crash(0, 0.40 * S, 0.10 * S),
+      domain_fault(FailureKind::kTorFault, 0, 0.45 * S, 0.30 * S),
+      window(FailureKind::kDegrade, 1, 0.80 * S, 0.0, 0.5),
+      window(FailureKind::kBrownout, 2, 0.85 * S, 0.0, 130.0),
+      crash(2, 0.90 * S, 0.0),
+      crash(1, 1.00 * S, 0.20 * S),
+      window(FailureKind::kDegrade, 1, 1.05 * S, 0.10 * S, 0.5),
+      window(FailureKind::kBrownout, 2, 1.10 * S, 0.30 * S, 140.0),
+  };
+  const core::FirstFitAllocator ff(2);
+  const SimMetrics m = Simulator(db(), cloud).run(staggered(40), ff);
+  // Hex-float values of the full-scan event loop the deadline heaps
+  // replaced (same workload, script and allocator).
+  EXPECT_EQ(m.energy_j, 0x1.f52503381902bp+21);
+  EXPECT_EQ(m.makespan_s, 0x1.c95bc3554ac21p+12);
+  EXPECT_EQ(m.mean_response_s, 0x1.1726b010793c1p+12);
+  EXPECT_EQ(m.mean_wait_s, 0x1.eca2c6dd36fdbp+9);
+  EXPECT_EQ(m.lost_work_s, 0x1.06f4de9bd37acp+7);
+  EXPECT_EQ(m.mean_busy_servers, 0x1.5db11100497c7p+1);
+  EXPECT_EQ(m.failures, 3u);
+  EXPECT_EQ(m.vm_restarts, 24u);
+  EXPECT_EQ(m.correlated_failures, 2u);
+  EXPECT_EQ(m.blast_radius_vms_max, 16u);
+  EXPECT_EQ(m.vms, 40u);
+  obs::MetricsRegistry& reg = cloud.obs->metrics();
+  EXPECT_EQ(reg.counter("sim.events").value(), 91u);
+  EXPECT_EQ(reg.counter("sim.intervals").value(), 90u);
+  EXPECT_EQ(reg.counter("sim.events.window").value(), 4u);
 }
 
 TEST(DomainFailure, SampledDomainFaultsAreReproducible) {

@@ -8,11 +8,19 @@
 /// crash/repair/allocate/deallocate deltas) and the plain reference scorer
 /// (testing/reference_pa.hpp) must produce bit-identical SimMetrics and
 /// bit-identical encoded snapshots.
+///
+/// The simulator hands the allocator a core::ViewDelta with every call, so
+/// the default run syncs only the changed servers. The same allocator
+/// behind a decorator that drops the delta walks the whole view on every
+/// call; the two paths must agree bit for bit — plain PA-1, rack spread
+/// under faults, and a snapshot resume — and one allocator shared by two
+/// interleaved simulations must answer each as a private one would.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +30,7 @@
 #include "datacenter/topology.hpp"
 #include "obs/session.hpp"
 #include "persist/snapshot.hpp"
+#include "testing/full_walk.hpp"
 #include "testing/reference_pa.hpp"
 #include "testing/shared_db.hpp"
 #include "trace/prepare.hpp"
@@ -133,6 +142,24 @@ void expect_identical(const SimMetrics& a, const SimMetrics& b) {
   EXPECT_EQ(a.rejects_by_reason, b.rejects_by_reason);
 }
 
+/// An observed PA-1 allocator and its `pa.*` counters.
+struct ObservedPa {
+  std::shared_ptr<obs::Session> session;
+  std::optional<core::ProactiveAllocator> allocator;
+
+  explicit ObservedPa(core::ProactiveConfig config) {
+    obs::ObsConfig obs_on;
+    obs_on.enabled = true;
+    session = obs::Session::create(obs_on);
+    config.obs = session;
+    allocator.emplace(testing::shared_db(), config);
+  }
+
+  std::uint64_t counter(const char* name) const {
+    return session->metrics().counter(name).value();
+  }
+};
+
 class ProactiveAdapterSim : public ::testing::TestWithParam<std::uint64_t> {};
 
 /// Runs PA-1 under `spread` through the allocator and the reference and
@@ -189,6 +216,141 @@ TEST_P(ProactiveAdapterSim, FaultyRunMatchesReferenceScorer) {
 
 TEST_P(ProactiveAdapterSim, RackSpreadRunMatchesReferenceScorer) {
   expect_parity(GetParam(), true);
+}
+
+/// Runs `workload` through the delta path and the full-walk path and
+/// expects bit-identical metrics and snapshots; the delta path must walk
+/// the view only on its first call.
+void expect_delta_parity(const PreparedWorkload& workload,
+                         const CloudConfig& base,
+                         const core::ProactiveConfig& config) {
+  const auto run = [&](const core::Allocator& allocator) {
+    SimRun out;
+    CloudConfig cloud = base;
+    cloud.snapshot.every_s = 1500.0;
+    cloud.snapshot.hook = [&out](const persist::SimSnapshot& snapshot) {
+      out.snapshots.push_back(persist::encode_snapshot(snapshot));
+    };
+    out.metrics =
+        Simulator(testing::shared_db(), cloud).run(workload, allocator);
+    return out;
+  };
+  const ObservedPa delta(config);
+  const ObservedPa walk(config);
+  const SimRun got = run(*delta.allocator);
+  const SimRun want = run(testing::FullWalkAllocator(*walk.allocator));
+
+  expect_identical(got.metrics, want.metrics);
+  ASSERT_EQ(got.snapshots.size(), want.snapshots.size());
+  EXPECT_GE(want.snapshots.size(), 2u);
+  for (std::size_t i = 0; i < got.snapshots.size(); ++i) {
+    EXPECT_TRUE(got.snapshots[i] == want.snapshots[i]) << "snapshot " << i;
+  }
+  const std::uint64_t calls = delta.counter("pa.allocate.calls");
+  EXPECT_EQ(calls, walk.counter("pa.allocate.calls"));
+  EXPECT_GE(calls, workload.jobs.size());
+  EXPECT_EQ(walk.counter("pa.fleet.walks"), calls);
+  EXPECT_EQ(delta.counter("pa.fleet.walks"), 1u)
+      << "the delta path walks the view only on its first call";
+  EXPECT_EQ(delta.counter("pa.fleet.resyncs"),
+            walk.counter("pa.fleet.resyncs"));
+}
+
+TEST_P(ProactiveAdapterSim, ChangedIdsMatchFullWalkOnPlainPa1) {
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+  CloudConfig cloud;
+  cloud.server_count = kServers;
+  expect_delta_parity(busy_workload(GetParam()), cloud, config);
+}
+
+TEST_P(ProactiveAdapterSim, ChangedIdsMatchFullWalkUnderRackSpreadAndFaults) {
+  const Topology topo =
+      make_synthetic_topology(SyntheticTopologyConfig{kServers, 10, 2, 1});
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+  config.degrade_to_first_fit = GetParam() % 2 == 0;
+  config.spread = spread_by_rack(topo, 2);
+  expect_delta_parity(busy_workload(GetParam()),
+                      faulty_cloud(topo, GetParam()), config);
+}
+
+TEST_P(ProactiveAdapterSim, ResumeOnTheDeltaPathMatchesTheUninterruptedRun) {
+  const Topology topo =
+      make_synthetic_topology(SyntheticTopologyConfig{kServers, 10, 2, 1});
+  const PreparedWorkload workload = busy_workload(GetParam());
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+  config.spread = spread_by_rack(topo, 2);
+  CloudConfig cloud = faulty_cloud(topo, GetParam());
+  cloud.snapshot.every_s = 1500.0;
+  std::vector<persist::SimSnapshot> snapshots;
+  cloud.snapshot.hook = [&snapshots](const persist::SimSnapshot& snapshot) {
+    snapshots.push_back(snapshot);
+  };
+  const ObservedPa pa(config);
+  const SimMetrics whole =
+      Simulator(testing::shared_db(), cloud).run(workload, *pa.allocator);
+  ASSERT_GE(snapshots.size(), 2u);
+  const persist::SimSnapshot mid = snapshots[snapshots.size() / 2];
+
+  cloud.snapshot = SnapshotConfig{};
+  const Simulator sim(testing::shared_db(), cloud);
+  // The allocator that ran the whole simulation follows that (finished)
+  // view; the restored fleet is a new view, so it walks once and then
+  // continues on deltas. A fresh allocator and the full-walk path agree.
+  const std::uint64_t walks_before = pa.counter("pa.fleet.walks");
+  expect_identical(sim.resume(workload, *pa.allocator, mid), whole);
+  EXPECT_EQ(pa.counter("pa.fleet.walks"), walks_before + 1);
+  const ObservedPa fresh(config);
+  expect_identical(sim.resume(workload, *fresh.allocator, mid), whole);
+  expect_identical(
+      sim.resume(workload, testing::FullWalkAllocator(*fresh.allocator), mid),
+      whole);
+}
+
+TEST_P(ProactiveAdapterSim, SharedAllocatorAnswersInterleavedSimulations) {
+  // Simulation A (the faulty rack fleet) lends its allocator to a second,
+  // smaller simulation B every 40 intervals, between two of its own
+  // calls. Each switch must be noticed: a delta that does not continue
+  // the view the allocator's fleet mirrors is never applied.
+  const Topology topo =
+      make_synthetic_topology(SyntheticTopologyConfig{kServers, 10, 2, 1});
+  const PreparedWorkload workload_a = busy_workload(GetParam());
+  PreparedWorkload workload_b = busy_workload(GetParam() + 100);
+  workload_b.jobs.resize(60);
+  workload_b.total_vms = 0;
+  workload_b.vm_mix = workload::ClassCounts{};
+  for (const JobRequest& job : workload_b.jobs) {
+    workload_b.total_vms += job.vm_count;
+    workload_b.vm_mix.of(job.profile) += job.vm_count;
+  }
+  CloudConfig cloud_b;
+  cloud_b.server_count = 60;
+  const Simulator sim_a(testing::shared_db(), faulty_cloud(topo, GetParam()));
+  const Simulator sim_b(testing::shared_db(), cloud_b);
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+
+  const core::ProactiveAllocator alone_a(testing::shared_db(), config);
+  const SimMetrics want_a = sim_a.run(workload_a, alone_a);
+  const core::ProactiveAllocator alone_b(testing::shared_db(), config);
+  const SimMetrics want_b = sim_b.run(workload_b, alone_b);
+
+  const core::ProactiveAllocator shared(testing::shared_db(), config);
+  std::size_t intervals = 0;
+  std::vector<SimMetrics> got_b;
+  const SimMetrics got_a = sim_a.run(
+      workload_a, shared, [&](double, double, const std::vector<double>&) {
+        if (++intervals % 40 == 0) {
+          got_b.push_back(sim_b.run(workload_b, shared));
+        }
+      });
+  expect_identical(got_a, want_a);
+  ASSERT_GE(got_b.size(), 3u);
+  for (const SimMetrics& b : got_b) {
+    expect_identical(b, want_b);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProactiveAdapterSim,

@@ -34,6 +34,7 @@
 #include "core/first_fit.hpp"
 #include "core/proactive.hpp"
 #include "datacenter/topology.hpp"
+#include "obs/session.hpp"
 #include "testing/shared_db.hpp"
 #include "trace/prepare.hpp"
 #include "util/rng.hpp"
@@ -227,6 +228,22 @@ TEST(ZeroAllocEventLoop, ProactiveWarmWindowPerformsNoHeapAllocations) {
   config.alpha = 1.0;  // PA-1
   const core::ProactiveAllocator allocator(testing::shared_db(), config);
   expect_warm_window_allocation_free(steady_workload(4242, 400), allocator);
+}
+
+TEST(ZeroAllocEventLoop, ProactiveDeltaPathWarmWindowPerformsNoHeapAllocations) {
+  // The simulator hands PA-1 a view delta with every call; the walk
+  // counter proves the warm window ran on the changed-ids path (one walk
+  // per run: the first call of each run's new view).
+  obs::ObsConfig obs_on;
+  obs_on.enabled = true;
+  core::ProactiveConfig config;
+  config.alpha = 1.0;  // PA-1
+  config.obs = obs::Session::create(obs_on);
+  const core::ProactiveAllocator allocator(testing::shared_db(), config);
+  expect_warm_window_allocation_free(steady_workload(4242, 400), allocator);
+  obs::MetricsRegistry& m = config.obs->metrics();
+  EXPECT_GT(m.counter("pa.allocate.calls").value(), 800u);
+  EXPECT_EQ(m.counter("pa.fleet.walks").value(), 2u);
 }
 
 TEST(ZeroAllocEventLoop, RackSpreadProactiveWarmWindowPerformsNoHeapAllocations) {
